@@ -9,6 +9,7 @@ variant saves the final inner increment.
 import numpy as np
 from conftest import once
 
+from repro import BackendConfig
 from repro.lang import ast, parse_source
 from repro.runtime import Engine
 from repro.transform.parallel import flatten_spmd
@@ -38,7 +39,7 @@ def run_variant(variant):
     body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
     prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
     _, counters = Engine().compile(prog).run(
-        {"l": L.copy()}, nproc=2, backend="interpreter"
+        {"l": L.copy()}, backend="interpreter", config=BackendConfig(nproc=2)
     )
     return counters
 

@@ -7,6 +7,7 @@ regressions in the toolchain show up in benchmark history.
 
 import numpy as np
 
+from repro import BackendConfig
 from repro.lang import parse_source
 from repro.runtime import Engine
 from repro.transform.parallel import flatten_spmd
@@ -59,7 +60,9 @@ def test_bench_simd_interpretation(benchmark):
     compiled = Engine().compile(prog)
 
     def run():
-        return compiled.run({"l": trips.copy()}, nproc=16, backend="interpreter")
+        return compiled.run(
+            {"l": trips.copy()}, backend="interpreter", config=BackendConfig(nproc=16)
+        )
 
     env, counters = benchmark(run)
     assert counters.events["scatter"] > 0
@@ -89,6 +92,6 @@ def test_bench_vm_execution(benchmark):
 
     counters = benchmark(run)
     _, interp_counters = Engine().compile(prog).run(
-        {"l": trips.copy()}, nproc=16, backend="interpreter"
+        {"l": trips.copy()}, backend="interpreter", config=BackendConfig(nproc=16)
     )
     assert counters.events["scatter"] == interp_counters.events["scatter"]

@@ -24,6 +24,7 @@ import pytest
 
 from conftest import once
 
+from repro import BackendConfig
 from repro.kernels.nbforce import (
     NBFORCE_FLAT,
     NBFORCE_UNFLAT_ALL,
@@ -59,12 +60,12 @@ def run_cell(engine: Engine):
     externals = {"force": make_simd_force_external(MOLECULE)}
     engine.compile(NBFORCE_FLAT).run(
         flat_kernel_bindings(PAIRLIST, DIST),
-        nproc=DIST.gran, externals=externals,
+        config=BackendConfig(nproc=DIST.gran, externals=externals),
     )
     for text in (NBFORCE_UNFLAT_SELECT, NBFORCE_UNFLAT_ALL):
         engine.compile(text).run(
             unflat_kernel_bindings(PAIRLIST, DIST),
-            nproc=DIST.gran, externals=externals,
+            config=BackendConfig(nproc=DIST.gran, externals=externals),
         )
 
 

@@ -26,16 +26,15 @@ def measure(cutoff=8.0, nproc=2048, nmax=2048, n_atoms=2000):
     engine = Engine()
     # warm compile cache, allocator and numpy pools: time pure execution
     engine.compile(text).run(
-        dict(bindings), nproc=dist.gran, backend="vm", externals=externals
+        dict(bindings),
+        backend="vm",
+        config=BackendConfig(nproc=dist.gran, externals=externals),
     )
     out = {}
     for label, fuse in (("fused", True), ("unfused", False)):
-        config = BackendConfig(vm_fuse=fuse)
+        config = BackendConfig(nproc=dist.gran, externals=externals, vm_fuse=fuse)
         start = time.perf_counter()
-        result = engine.compile(text).run(
-            dict(bindings), nproc=dist.gran, backend="vm",
-            externals=externals, config=config,
-        )
+        result = engine.compile(text).run(dict(bindings), backend="vm", config=config)
         out[label] = {
             "seconds": time.perf_counter() - start,
             "steps": result.steps,

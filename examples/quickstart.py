@@ -16,6 +16,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro import BackendConfig
 from repro import Engine, evaluate_flattening, format_source, parse_source
 from repro.lang import ast
 from repro.simd import SIMDTraceRecorder
@@ -62,7 +63,7 @@ def splice_loop(tree, replacement):
 def run_traced(tree, label):
     recorder = SIMDTraceRecorder(("i", "j"), NPROC, body_predicate=is_body)
     result = ENGINE.compile(tree).run(
-        {"l": L.copy()}, nproc=NPROC, statement_hook=recorder.hook
+        {"l": L.copy()}, statement_hook=recorder.hook, config=BackendConfig(nproc=NPROC)
     )
     steps = result.counters.events["scatter"]
     print(f"--- {label}: {steps} body steps ({result.backend} backend) ---")

@@ -36,26 +36,24 @@ Quick start — the three-call facade over a shared default Engine::
     import repro
 
     program = repro.compile(F77_TEXT, transform="flatten", simd=True)
-    result = repro.run(F77_TEXT, {...}, nproc=64)   # backend="auto"
+    result = repro.run(F77_TEXT, {...}, config=repro.BackendConfig(nproc=64))
     report = repro.lint(F77_TEXT)
     print(result.backend, result.steps, result.wall_seconds)
     env, counters = result                          # legacy tuple shape
 
 or, with an explicit engine::
 
-    from repro import Engine
+    from repro import BackendConfig, Engine
 
     engine = Engine()
     program = engine.compile(F77_TEXT, transform="flatten", simd=True)
-    result = program.run({...}, nproc=64)
+    result = program.run({...}, config=BackendConfig(nproc=64))
 
 Repeated ``compile`` calls with the same source and options are cache
 hits (``engine.stats``); artifacts are independent of ``nproc``, so
-one compile serves a whole machine-width sweep.  The historical free
-functions (``flatten_program``, ``run_program``, ``run_simd_program``,
-``run_mimd_program``) are deprecated shims over the same default
-Engine; they emit :class:`DeprecationWarning` and will be removed in
-version 2.0.
+one compile serves a whole machine-width sweep.  Every run setting
+(PE count, externals, budget, fault plan, checkpointing) travels in
+one :class:`BackendConfig`.
 """
 
 from .analysis import analyze_routine, evaluate_flattening
@@ -72,9 +70,6 @@ from .exec import (
     MIMDSimulator,
     ScalarInterpreter,
     SIMDInterpreter,
-    run_mimd_program,
-    run_program,
-    run_simd_program,
 )
 from .lang import (
     check_source,
@@ -92,14 +87,13 @@ from .simd import DataDistribution, cm2, decmpp, sparc2
 from .transform import (
     coalesce_nest,
     flatten_loop_nest,
-    flatten_program,
     naive_simd_program,
     simdize_nest,
     simdize_structured,
 )
 from .transform.parallel import flatten_spmd
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +116,11 @@ def compile(source, **options) -> CompiledProgram:
 def run(source, bindings=None, **options) -> RunResult:
     """Compile and execute in one call; returns a :class:`RunResult`.
 
-    ``options`` are :meth:`CompiledProgram.run` keywords (``nproc``,
-    ``backend``, ``externals``, ``budget``, ``config``, ...)::
+    ``options`` are :meth:`CompiledProgram.run` keywords (``backend``,
+    ``config``, ``policy``, ``verify``, ...); the run settings travel in
+    ``config``::
 
-        result = repro.run(text, {"n": 8}, nproc=64)
+        result = repro.run(text, {"n": 8}, config=BackendConfig(nproc=64))
         print(result.backend, result.steps, result.wall_seconds)
 
     The result still unpacks as the legacy ``(env, counters)`` tuple.
@@ -160,7 +155,6 @@ __all__ = [
     "DiagnosticReport",
     "Severity",
     "flatten_loop_nest",
-    "flatten_program",
     "flatten_spmd",
     "simdize_structured",
     "simdize_nest",
@@ -169,9 +163,6 @@ __all__ = [
     "ScalarInterpreter",
     "SIMDInterpreter",
     "MIMDSimulator",
-    "run_program",
-    "run_simd_program",
-    "run_mimd_program",
     "ExecutionCounters",
     "DataDistribution",
     "cm2",

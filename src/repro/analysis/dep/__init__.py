@@ -1,7 +1,6 @@
 """Loop-nest dependence framework.
 
-The real replacement for the legacy single-variable SIV test of
-``repro.analysis.dependence``:
+It replaced an earlier single-variable SIV test:
 
 * :mod:`~repro.analysis.dep.affine` — subscripts as affine forms over
   all enclosing induction variables plus free symbols;

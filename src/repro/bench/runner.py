@@ -27,6 +27,7 @@ import time
 
 from ..kernels import nbforce
 from ..md.gromos import sod_workload
+from ..runtime.config import BackendConfig
 from ..runtime.engine import Engine, default_engine
 from .schema import BENCHMARK, SCHEMA
 
@@ -107,10 +108,9 @@ def run_table1_sweep(
                 )
                 start = time.perf_counter()
                 result = engine.compile(text).run(
-                    nproc=nproc,
                     backend="pmimd",
                     bindings_for=bindings_for,
-                    externals=externals,
+                    config=BackendConfig(nproc=nproc, externals=externals),
                 )
             else:
                 if dist is None:
@@ -119,9 +119,8 @@ def run_table1_sweep(
                 start = time.perf_counter()
                 result = engine.compile(text).run(
                     bindings,
-                    nproc=dist.gran,
                     backend=backend,
-                    externals=externals,
+                    config=BackendConfig(nproc=dist.gran, externals=externals),
                 )
             wall = time.perf_counter() - start
             total += wall

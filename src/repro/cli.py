@@ -280,6 +280,8 @@ def _print_supervision(result) -> None:
 
 
 def cmd_run(args) -> int:
+    import dataclasses
+
     from .lang.errors import InterpreterError
     from .runtime import BackendConfig, default_engine
 
@@ -292,9 +294,6 @@ def cmd_run(args) -> int:
         else "scalar"
     )
     backend = {"interp": "interpreter"}.get(backend, backend)
-    config = None
-    if args.workers is not None:
-        config = BackendConfig(workers=args.workers)
     resume_from = None
     if args.resume:
         if not args.checkpoint_dir:
@@ -323,27 +322,30 @@ def cmd_run(args) -> int:
                 file=sys.stderr,
             )
             backend = "auto"
-    ckpt_kwargs = dict(
+    config = BackendConfig(
+        budget=budget,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
-        resume_from=resume_from,
     )
     try:
         if backend == "scalar":
             result = program.run(
-                bindings, backend="scalar", budget=budget, policy=policy,
-                **ckpt_kwargs,
+                bindings,
+                backend="scalar",
+                policy=policy,
+                config=config,
+                resume_from=resume_from,
             )
             print("ran sequentially")
         else:
             result = program.run(
                 bindings,
-                nproc=args.nproc,
                 backend=backend,
-                budget=budget,
                 policy=policy,
-                config=config,
-                **ckpt_kwargs,
+                config=dataclasses.replace(
+                    config, nproc=args.nproc, workers=args.workers
+                ),
+                resume_from=resume_from,
             )
             if result.backend in ("mimd", "pmimd"):
                 flavor = (

@@ -41,6 +41,7 @@ from ..md.distribution import (
 )
 from ..md.forces import make_scalar_force_external
 from ..md.gromos import PAPER_CUTOFFS, NBForceWorkload, sod_workload
+from ..runtime.config import BackendConfig
 from ..runtime.engine import Engine, default_engine
 from ..md.molecule import synthetic_sod
 from ..md.pairlist import build_pairlist
@@ -101,10 +102,10 @@ def example_traces(engine: Engine | None = None) -> ExampleTraces:
         ("i", "j"), ex.EXAMPLE_P, body_predicate=ex.is_body_statement
     )
     engine.compile(ex.P3_MIMD).run(
-        nproc=ex.EXAMPLE_P,
         backend="mimd",
         bindings_for=ex.mimd_bindings,
         statement_hook_for=mimd_rec.hook_for,
+        config=BackendConfig(nproc=ex.EXAMPLE_P),
     )
 
     # Figure 6: naive SIMD — one lockstep time axis.
@@ -113,8 +114,8 @@ def example_traces(engine: Engine | None = None) -> ExampleTraces:
     )
     engine.compile(ex.P4_NAIVE_SIMD).run(
         ex.example_bindings(),
-        nproc=ex.EXAMPLE_P,
         statement_hook=naive_rec.hook,
+        config=BackendConfig(nproc=ex.EXAMPLE_P),
     )
 
     # The flattened version traces like the MIMD one.
@@ -123,8 +124,8 @@ def example_traces(engine: Engine | None = None) -> ExampleTraces:
     )
     engine.compile(ex.P5_FLATTENED_SIMD).run(
         ex.example_bindings(),
-        nproc=ex.EXAMPLE_P,
         statement_hook=flat_rec.hook,
+        config=BackendConfig(nproc=ex.EXAMPLE_P),
     )
     return ExampleTraces(mimd_rec.table, naive_rec.table, flat_rec.table)
 
@@ -303,7 +304,9 @@ def sparc_reference(
         result = engine.compile(NBFORCE_SEQUENTIAL).run(
             bindings,
             backend="scalar",
-            externals={"force": make_scalar_force_external(workload.molecule)},
+            config=BackendConfig(
+                externals={"force": make_scalar_force_external(workload.molecule)}
+            ),
         )
         sample_seconds = machine.seconds(result.counters)
         scale = plist.total_pairs / max(1, sample_pairs)
@@ -409,10 +412,14 @@ def flattening_overhead(engine: Engine | None = None) -> dict:
     engine = engine if engine is not None else default_engine()
     bindings = ex.example_bindings()
     naive = engine.compile(ex.P4_NAIVE_SIMD).run(
-        dict(bindings), nproc=ex.EXAMPLE_P, backend="interpreter"
+        dict(bindings),
+        backend="interpreter",
+        config=BackendConfig(nproc=ex.EXAMPLE_P),
     )
     flat = engine.compile(ex.P5_FLATTENED_SIMD).run(
-        dict(bindings), nproc=ex.EXAMPLE_P, backend="interpreter"
+        dict(bindings),
+        backend="interpreter",
+        config=BackendConfig(nproc=ex.EXAMPLE_P),
     )
 
     def per_body(counters):

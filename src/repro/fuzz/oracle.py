@@ -548,19 +548,21 @@ class DifferentialOracle:
                 result = program.run(bindings, backend="scalar")
             elif mode == "mimd":
                 result = program.run(
-                    nproc=self.nproc,
                     backend="mimd",
                     bindings_for=lambda p: _copy_bindings(prog.bindings),
+                    config=BackendConfig(nproc=self.nproc),
                 )
             elif statement_hook is not None:
                 result = program.run(
                     bindings,
-                    nproc=self.nproc,
                     backend="interpreter",
                     statement_hook=statement_hook,
+                    config=BackendConfig(nproc=self.nproc),
                 )
             else:
-                result = program.run(bindings, nproc=self.nproc, verify=True)
+                result = program.run(
+                    bindings, verify=True, config=BackendConfig(nproc=self.nproc)
+                )
         except BackendFault as error:
             verdict.divergences.append(
                 Divergence(
@@ -646,7 +648,9 @@ class DifferentialOracle:
         nproc = self.nproc if backend == "vm" else 0
         try:
             plain = program.run(
-                _copy_bindings(prog.bindings), nproc=nproc, backend=backend
+                _copy_bindings(prog.bindings),
+                backend=backend,
+                config=BackendConfig(nproc=nproc),
             )
         except Exception:
             return  # faults of the plain backend belong to none/simd
@@ -657,11 +661,11 @@ class DifferentialOracle:
         try:
             program.run(
                 _copy_bindings(prog.bindings),
-                nproc=nproc,
                 backend=backend,
-                budget=Budget(max_steps=cut),
-                checkpoint_every=every,
                 checkpoint_sink=checkpoints.append,
+                config=BackendConfig(
+                    nproc=nproc, budget=Budget(max_steps=cut), checkpoint_every=every
+                ),
             )
         except BudgetExceeded:
             pass  # the injected interrupt
@@ -682,14 +686,16 @@ class DifferentialOracle:
                 resumed = program.run(
                     _copy_bindings(prog.bindings),
                     backend="auto",
-                    nproc=nproc,
                     resume_from=checkpoints[-1],
+                    config=BackendConfig(nproc=nproc),
                 )
             else:
                 # Interrupt landed before the first boundary: the
                 # documented recovery is a clean rerun.
                 resumed = program.run(
-                    _copy_bindings(prog.bindings), nproc=nproc, backend=backend
+                    _copy_bindings(prog.bindings),
+                    backend=backend,
+                    config=BackendConfig(nproc=nproc),
                 )
         except Exception as error:
             verdict.divergences.append(
@@ -760,7 +766,9 @@ class DifferentialOracle:
         bindings_for = lambda p: _copy_bindings(prog.bindings)
         try:
             mimd = program.run(
-                nproc=self.nproc, backend="mimd", bindings_for=bindings_for
+                backend="mimd",
+                bindings_for=bindings_for,
+                config=BackendConfig(nproc=self.nproc),
             )
         except Exception:
             return  # ditto: none/mimd owns faults of the simulator
@@ -790,17 +798,17 @@ class DifferentialOracle:
             legs.append(("none/pmimd-ckpt", ckpt_plan, None, 5))
         for label, plan, policy, every in legs:
             config = BackendConfig(
+                nproc=self.nproc,
+                fault_plan=plan,
                 workers=2,
                 supervision=self.FUZZ_SUPERVISION,
                 checkpoint_every=every,
             )
             try:
                 result = program.run(
-                    nproc=self.nproc,
                     backend="pmimd",
                     bindings_for=bindings_for,
                     config=config,
-                    fault_plan=plan,
                     policy=policy,
                 )
             except MiniFError as error:
@@ -907,9 +915,8 @@ class DifferentialOracle:
                 try:
                     result = program.run(
                         _copy_bindings(prog.bindings),
-                        nproc=self.nproc,
                         backend="vm",
-                        config=BackendConfig(vm_fuse=fuse),
+                        config=BackendConfig(nproc=self.nproc, vm_fuse=fuse),
                     )
                     outcomes.append(("ok", result))
                 except MiniFError as error:

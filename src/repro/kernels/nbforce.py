@@ -22,6 +22,7 @@ import numpy as np
 
 from ..exec.values import FArray
 from ..lang import parse_source
+from ..runtime.config import BackendConfig
 from ..runtime.engine import Engine, default_engine
 from ..md.distribution import (
     flat_kernel_bindings,
@@ -196,7 +197,9 @@ def run_flat_kernel(
     engine = engine if engine is not None else default_engine()
     text, bindings, externals = flat_kernel_setup(molecule, pairlist, dist)
     result = engine.compile(text).run(
-        bindings, nproc=dist.gran, backend=backend, externals=externals
+        bindings,
+        backend=backend,
+        config=BackendConfig(nproc=dist.gran, externals=externals),
     )
     return gather_flat_results(result.env, pairlist), result.counters
 
@@ -223,7 +226,9 @@ def run_unflat_kernel(
         molecule, pairlist, dist, select_layers
     )
     result = engine.compile(text).run(
-        bindings, nproc=dist.gran, backend=backend, externals=externals
+        bindings,
+        backend=backend,
+        config=BackendConfig(nproc=dist.gran, externals=externals),
     )
     return gather_unflat_results(result.env, pairlist, dist), result.counters
 
@@ -289,6 +294,8 @@ def run_sequential_kernel(
     result = engine.compile(NBFORCE_SEQUENTIAL).run(
         bindings,
         backend="scalar",
-        externals={"force": make_scalar_force_external(molecule)},
+        config=BackendConfig(
+            externals={"force": make_scalar_force_external(molecule)}
+        ),
     )
     return np.asarray(result.env["f"].data, dtype=float), result.counters

@@ -37,18 +37,19 @@ What is deliberately **not** checkpointed:
 Store format (``repro.checkpoint/v1``)
 --------------------------------------
 
-One file per generation, ``<root>/<key>/gen-<n>.ckpt``::
+One file per generation, ``<root>/<key>/gen-<n>.ckpt``, each a framed
+record (:mod:`repro.reliability.framed`, shared with the artifact
+store)::
 
     {"format": "repro.checkpoint/v1", "key": ..., "generation": n,
      "step": ..., "backend": ..., "sha256": ..., "payload_bytes": ...}\n
     <pickled Checkpoint payload>
 
-Writes are crash-safe: payload and header are written to a temporary
-name in the same directory, fsynced, then published with
-``os.replace`` — a reader never observes a half-written generation.
-Reads verify the header's ``payload_bytes`` and sha256 digest *before*
-unpickling, so truncated or bit-flipped files are detected (and never
-reach the unpickler); :meth:`CheckpointStore.load_latest` walks the
+Writes are crash-safe (temporary file, fsync, ``os.replace``), so a
+reader never observes a half-written generation.  Reads verify the
+header's ``payload_bytes`` and sha256 digest *before* unpickling, so
+truncated or bit-flipped files are detected (and never reach the
+unpickler); :meth:`CheckpointStore.load_latest` walks the
 generation ladder newest-first, skipping corrupt files, and returns
 ``None`` when no generation survives — the caller's cue for a clean
 rerun from step 0.
@@ -56,16 +57,13 @@ rerun from step 0.
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import hashlib
-import json
 import os
-import pickle
 import re
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any
+
+from .framed import read_framed, suppress_os_errors, write_framed
 
 #: On-disk format tag; bump on incompatible layout changes.
 FORMAT = "repro.checkpoint/v1"
@@ -177,38 +175,26 @@ class CheckpointStore:
         directory = _key_dir(self.root, key)
         os.makedirs(directory, exist_ok=True)
         generation = self.latest_generation(key) + 1
-        payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": FORMAT,
-            "key": str(key),
-            "generation": generation,
-            "step": int(checkpoint.step),
-            "backend": checkpoint.backend,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "payload_bytes": len(payload),
-        }
-        blob = json.dumps(header).encode() + b"\n" + payload
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=f".tmp-gen-{generation}-", dir=directory
+        final = os.path.join(directory, f"gen-{generation}.ckpt")
+        write_framed(
+            final,
+            FORMAT,
+            checkpoint,
+            {
+                "key": str(key),
+                "generation": generation,
+                "step": int(checkpoint.step),
+                "backend": checkpoint.backend,
+            },
+            tmp_prefix=f".tmp-gen-{generation}-",
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            final = os.path.join(directory, f"gen-{generation}.ckpt")
-            os.replace(tmp_path, final)
-        except BaseException:
-            with _suppress():
-                os.unlink(tmp_path)
-            raise
         self._prune(directory)
         return final
 
     def _prune(self, directory: str) -> None:
         generations = self._generations(directory)
         for gen, name in generations[: -self.keep]:
-            with _suppress():
+            with suppress_os_errors():
                 os.unlink(os.path.join(directory, name))
 
     # -- reading ---------------------------------------------------------------
@@ -236,38 +222,9 @@ class CheckpointStore:
         rejected as corruption, not executed as pickles.
         """
         try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError as exc:
+            checkpoint = read_framed(path, FORMAT, CheckpointError)
+        except FileNotFoundError as exc:
             raise CheckpointError(f"{path}: unreadable: {exc}") from exc
-        newline = blob.find(b"\n")
-        if newline < 0:
-            raise CheckpointError(f"{path}: truncated header")
-        try:
-            header = json.loads(blob[:newline].decode())
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT:
-            raise CheckpointError(
-                f"{path}: not a {FORMAT} file "
-                f"(format={header.get('format') if isinstance(header, dict) else None!r})"
-            )
-        payload = blob[newline + 1:]
-        expected_bytes = header.get("payload_bytes")
-        if not isinstance(expected_bytes, int) or len(payload) != expected_bytes:
-            raise CheckpointError(
-                f"{path}: truncated payload "
-                f"({len(payload)} bytes, header says {expected_bytes})"
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("sha256"):
-            raise CheckpointError(
-                f"{path}: digest mismatch (content corrupted)"
-            )
-        try:
-            checkpoint = pickle.loads(payload)
-        except Exception as exc:  # digest-valid yet unloadable payload
-            raise CheckpointError(f"{path}: unloadable payload: {exc}") from exc
         if not isinstance(checkpoint, Checkpoint):
             raise CheckpointError(
                 f"{path}: payload is {type(checkpoint).__name__}, "
@@ -291,9 +248,9 @@ class CheckpointStore:
         """Drop every generation of ``key`` (idempotent)."""
         directory = _key_dir(self.root, key)
         for gen, name in self._generations(directory):
-            with _suppress():
+            with suppress_os_errors():
                 os.unlink(os.path.join(directory, name))
-        with _suppress():
+        with suppress_os_errors():
             os.rmdir(directory)
 
     def keys(self) -> list[str]:
@@ -321,10 +278,6 @@ class CheckpointStore:
                 found.append((int(match.group(1)), name))
         found.sort()
         return found
-
-
-def _suppress():
-    return contextlib.suppress(OSError)
 
 
 __all__ = [

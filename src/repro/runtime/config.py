@@ -4,9 +4,9 @@ The four execution backends historically grew four different
 constructor signatures (the scalar interpreter has no ``nproc``, the
 MIMD simulator takes no ``counters``, the VM adds ``fuse``...).
 :class:`BackendConfig` is the one bag of settings every backend knows
-how to consume via its ``from_config`` classmethod, and the shape the
-Engine threads through :meth:`CompiledProgram.run` →
-``CompiledProgram._execute`` → backend construction.
+how to consume via its ``from_config`` classmethod, and the only way
+to hand run settings to :meth:`CompiledProgram.run`, which threads it
+unchanged through ``CompiledProgram._execute`` → backend construction.
 
 Fields a backend does not support are simply ignored by its
 ``from_config`` (e.g. ``vm_fuse`` outside the VM), so one config can

@@ -2,8 +2,8 @@
 
 The reproduction's pipeline — parse → structurize → flatten/simdize →
 bytecode — is deterministic in the source text and the transform
-options, yet every legacy entry point re-ran it per call.  The
-:class:`Engine` memoizes it the way operator-caching DSL compilers do:
+options, so the :class:`Engine` memoizes it the way operator-caching
+DSL compilers do:
 
 * :meth:`Engine.compile` returns a :class:`CompiledProgram` keyed by
   the SHA-256 of the source text plus the normalized transform
@@ -60,8 +60,9 @@ class CompileOptions:
     """Normalized, hashable transform options — the cache key's second half.
 
     Attributes:
-        transform: ``"none"``, ``"flatten"``, ``"simdize"`` or
-            ``"coalesce"`` (see :mod:`repro.transform.options`).
+        transform: ``"none"``, ``"flatten"``, ``"simdize"``,
+            ``"coalesce"``, ``"spmd"``, ``"fission"`` or
+            ``"interchange"`` (see :mod:`repro.transform.options`).
         variant: Flattening strength (``flatten`` only).
         simd: Derive the F90simd form of the flattened region.
         assume_min_trips: Caller-asserted paper condition 2.
@@ -228,20 +229,23 @@ class CompiledProgram:
 
     # -- backend selection ---------------------------------------------------
 
-    _BACKEND_ALIASES = {
-        "interp": "interpreter",
-        "tree": "interpreter",
-        "bytecode": "vm",
-        "sequential": "scalar",
-    }
+    _BACKENDS = ("auto", "vm", "interpreter", "scalar", "mimd", "pmimd")
+
+    @classmethod
+    def _backend_name(cls, backend: str) -> str:
+        """The canonical backend name; unknown spellings raise."""
+        name = backend.strip().lower()
+        if name not in cls._BACKENDS:
+            choices = ", ".join(repr(choice) for choice in cls._BACKENDS)
+            raise InterpreterError(
+                f"unknown backend {backend!r} (choose from {choices})"
+            )
+        return name
 
     def _resolve_backend(
         self, backend: str, nproc: int, statement_hook, routine_name
     ) -> str:
-        name = backend.strip().lower()
-        name = self._BACKEND_ALIASES.get(name, name)
-        if name not in ("auto", "vm", "interpreter", "scalar", "mimd", "pmimd"):
-            raise InterpreterError(f"unknown backend {backend!r}")
+        name = self._backend_name(backend)
         if name == "pmimd":
             if nproc < 1:
                 raise InterpreterError(
@@ -278,20 +282,14 @@ class CompiledProgram:
         self,
         bindings: dict | None = None,
         *,
-        nproc: int = 0,
         backend: str = "auto",
-        externals: dict | None = None,
-        statement_hook=None,
-        routine_name: str | None = None,
         bindings_for=None,
+        statement_hook=None,
         statement_hook_for=None,
-        budget=None,
-        fault_plan=None,
+        routine_name: str | None = None,
         policy: FallbackPolicy | None = None,
         verify: bool = False,
         config: BackendConfig | None = None,
-        checkpoint_every: int | None = None,
-        checkpoint_dir: str | None = None,
         checkpoint_sink=None,
         resume_from=None,
     ) -> RunResult:
@@ -299,27 +297,19 @@ class CompiledProgram:
 
         Args:
             bindings: Initial environment (copied, never mutated).
-            nproc: PE count; 0 runs the sequential execution level.
             backend: ``"auto"``, ``"vm"``, ``"interpreter"``,
                 ``"scalar"``, ``"mimd"`` or ``"pmimd"`` (the
                 process-parallel SPMD pool).  Ignored when ``policy``
                 supplies its own chain.
-            externals: External subroutine registry.
-            statement_hook: Trace hook (tree-walking backends only).
-            routine_name: Run a routine other than the main program
-                (tree-walking backends only).
             bindings_for: MIMD/PMIMD backends — callable ``p -> dict``
                 (runs inside the worker process on pmimd).  Plain
                 ``bindings`` also work on both: every processor gets a
                 private deep copy.
+            statement_hook: Trace hook (tree-walking backends only).
             statement_hook_for: MIMD backend — callable ``p -> hook``
                 (not supported across pmimd's process boundary).
-            budget: Execution guard (:class:`~repro.reliability.Budget`)
-                applied to the run; runaway programs raise
-                :class:`~repro.reliability.BudgetExceeded`.
-            fault_plan: Deterministic fault injection
-                (:class:`~repro.reliability.FaultPlan`) for chaos
-                testing the run.
+            routine_name: Run a routine other than the main program
+                (tree-walking backends only).
             policy: A :class:`~repro.reliability.FallbackPolicy`; when
                 given, faults retry and degrade along its backend chain
                 and every attempt is recorded in
@@ -331,22 +321,18 @@ class CompiledProgram:
                 oracle :mod:`repro.fuzz` uses).  Needs ``nproc >= 1``
                 and a vm/interpreter/auto backend; composes with
                 ``policy`` by switching its ``verify`` flag on.
-            config: A :class:`BackendConfig` supplying run settings in
-                one bag; explicit keyword arguments win over it, and
-                its ``counters``/``max_instructions``/``vm_fuse``
-                fields reach the backend constructors unchanged.
-            checkpoint_every: Durable execution — capture a restorable
-                :class:`~repro.reliability.checkpoint.Checkpoint`
-                every this many executed steps (vm/scalar: delivered
-                to ``checkpoint_sink`` or saved under ``checkpoint_dir``;
-                pmimd: workers checkpoint per processor so shard
-                replays resume instead of rerunning).
-            checkpoint_dir: On-disk
-                :class:`~repro.reliability.checkpoint.CheckpointStore`
-                root.  vm/scalar captures are saved under the key
-                ``"run"`` stamped with this program's source SHA.
+            config: The run settings (:class:`BackendConfig`): PE
+                count (``nproc``; 0 runs the sequential execution
+                level), externals, budget, fault plan, durable
+                checkpointing (``checkpoint_every``/``checkpoint_dir``:
+                vm/scalar captures are saved under the key ``"run"``
+                stamped with this program's source SHA; pmimd workers
+                checkpoint per processor so shard replays resume) and
+                the backend-specific fields.  None means
+                ``BackendConfig()``: a sequential run.
             checkpoint_sink: Callable receiving each captured
-                checkpoint (vm/scalar; wins over ``checkpoint_dir``).
+                checkpoint (vm/scalar; wins over
+                ``config.checkpoint_dir``).
             resume_from: A checkpoint to continue from instead of
                 starting at step 0.  The backend is chosen from the
                 checkpoint (vm or scalar), the final env/counters are
@@ -354,15 +340,8 @@ class CompiledProgram:
                 source-SHA mismatch is refused.  Incompatible with
                 ``policy`` chains.
         """
-        if config is not None:
-            nproc = nproc if nproc else config.nproc
-            externals = externals if externals is not None else config.externals
-            budget = budget if budget is not None else config.budget
-            fault_plan = fault_plan if fault_plan is not None else config.fault_plan
-            if checkpoint_every is None:
-                checkpoint_every = config.checkpoint_every
-            if checkpoint_dir is None:
-                checkpoint_dir = config.checkpoint_dir
+        if config is None:
+            config = BackendConfig()
         if verify:
             if policy is not None:
                 if not policy.verify:
@@ -370,9 +349,8 @@ class CompiledProgram:
 
                     policy = dataclasses.replace(policy, verify=True)
             else:
-                name = backend.strip().lower()
-                name = self._BACKEND_ALIASES.get(name, name)
-                if nproc < 1 or name in ("scalar", "mimd", "pmimd"):
+                name = self._backend_name(backend)
+                if config.nproc < 1 or name in ("scalar", "mimd", "pmimd"):
                     raise InterpreterError(
                         "verify=True cross-checks the lockstep backends; "
                         "it needs nproc >= 1 and backend "
@@ -399,39 +377,33 @@ class CompiledProgram:
                     "program (source SHA mismatch)"
                 )
             chosen = "vm" if resume_from.backend == "vm" else "scalar"
-            name = backend.strip().lower()
-            name = self._BACKEND_ALIASES.get(name, name)
-            if name not in ("auto", chosen):
+            if self._backend_name(backend) not in ("auto", chosen):
                 raise InterpreterError(
                     f"resume_from checkpoint was captured by the '{chosen}' "
                     f"backend; requested backend '{backend}' cannot "
                     f"continue it"
                 )
-            if chosen == "vm" and not nproc:
-                nproc = resume_from.nproc
+            if chosen == "vm" and not config.nproc:
+                config = config.with_nproc(resume_from.nproc)
         kwargs = dict(
             bindings=bindings,
-            nproc=nproc,
-            externals=externals,
+            config=config,
             statement_hook=statement_hook,
             routine_name=routine_name,
             bindings_for=bindings_for,
             statement_hook_for=statement_hook_for,
-            budget=budget,
-            fault_plan=fault_plan,
-            config=config,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
             checkpoint_sink=checkpoint_sink,
             resume_from=resume_from,
         )
         if policy is not None:
             return self._run_with_policy(policy, **kwargs)
         if resume_from is None:
-            chosen = self._resolve_backend(backend, nproc, statement_hook, routine_name)
+            chosen = self._resolve_backend(
+                backend, config.nproc, statement_hook, routine_name
+            )
         if (
-            checkpoint_every
-            and checkpoint_dir
+            config.checkpoint_every
+            and config.checkpoint_dir
             and checkpoint_sink is None
             and chosen in ("vm", "scalar")
         ):
@@ -440,7 +412,7 @@ class CompiledProgram:
             # identity so a later --resume refuses a source mismatch.
             from ..reliability.checkpoint import CheckpointStore
 
-            store = CheckpointStore(checkpoint_dir)
+            store = CheckpointStore(config.checkpoint_dir)
 
             def checkpoint_sink(ckpt, _store=store, _sha=self.source_sha):
                 ckpt.meta["source_sha"] = _sha
@@ -452,7 +424,7 @@ class CompiledProgram:
         wall = time.perf_counter() - start
         return self._result(
             chosen,
-            nproc,
+            config.nproc,
             env,
             counters,
             statements,
@@ -466,17 +438,11 @@ class CompiledProgram:
         chosen: str,
         *,
         bindings,
-        nproc,
-        externals,
+        config: BackendConfig,
         statement_hook,
         routine_name,
         bindings_for,
         statement_hook_for,
-        budget,
-        fault_plan,
-        config=None,
-        checkpoint_every=None,
-        checkpoint_dir=None,
         checkpoint_sink=None,
         resume_from=None,
     ):
@@ -484,35 +450,10 @@ class CompiledProgram:
 
         Returns ``(env, counters, statements, events)`` — ``events``
         is the supervision log for the pmimd backend and empty for the
-        single-process ones.  Backend construction is uniform: the
-        resolved run settings are folded into one
-        :class:`BackendConfig` and each backend is built via its
+        single-process ones.  Backend construction is uniform: each
+        backend is built from the run's :class:`BackendConfig` via its
         ``from_config`` classmethod.
         """
-        import dataclasses
-
-        if config is None:
-            config = BackendConfig(
-                nproc=nproc,
-                externals=externals,
-                budget=budget,
-                fault_plan=fault_plan,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-            )
-        else:
-            # Explicit run() kwargs already won the merge; refold them
-            # so counters/max_instructions/vm_fuse survive from the
-            # caller's config.
-            config = dataclasses.replace(
-                config,
-                nproc=nproc,
-                externals=externals,
-                budget=budget,
-                fault_plan=fault_plan,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-            )
         if chosen == "vm":
             from ..vm.machine import SIMDVirtualMachine
 
@@ -646,7 +587,7 @@ class CompiledProgram:
         * With ``policy.verify`` the rest of the chain runs after a
           success and must agree on env + counters.
         """
-        nproc = kwargs["nproc"]
+        nproc = kwargs["config"].nproc
         attempts: list[Attempt] = []
         last_error: Exception | None = None
         for backend in policy.chain:
@@ -730,7 +671,7 @@ class CompiledProgram:
             try:
                 resolved = self._resolve_backend(
                     other,
-                    kwargs["nproc"],
+                    kwargs["config"].nproc,
                     kwargs["statement_hook"],
                     kwargs["routine_name"],
                 )
@@ -838,9 +779,10 @@ class Engine:
                 equivalent trees share one cache entry and the caller
                 keeps ownership of its own AST.
             transform: Nest transform to apply — ``"none"`` (default),
-                ``"flatten"``, ``"simdize"``, ``"coalesce"`` or
-                ``"spmd"``; legacy spellings are accepted with a
-                DeprecationWarning.
+                ``"flatten"``, ``"simdize"``, ``"coalesce"``,
+                ``"spmd"``, ``"fission"`` or ``"interchange"``; any
+                other spelling raises
+                :class:`~repro.lang.errors.TransformError`.
             variant: Flattening strength for ``transform="flatten"``.
             simd: Derive the F90simd form when flattening.
             assume_min_trips: Paper condition 2 assertion.
@@ -1052,9 +994,9 @@ class Engine:
         """Compile (cached) and run in one call.
 
         Compile keywords are those of :meth:`compile` (including
-        ``strict``); everything else (``nproc``, ``backend``,
-        ``externals``, ``budget``, ``fault_plan``, ``policy``, ...) is
-        forwarded to :meth:`CompiledProgram.run`.
+        ``strict``); everything else (``backend``, ``config``,
+        ``policy``, ``verify``, ...) is forwarded to
+        :meth:`CompiledProgram.run`.
         """
         program = self.compile(
             source,
@@ -1143,7 +1085,8 @@ _default_lock = threading.Lock()
 
 
 def default_engine() -> Engine:
-    """The process-wide shared Engine behind the legacy free functions."""
+    """The process-wide shared Engine behind :func:`repro.compile` and
+    :func:`repro.run`."""
     global _default_engine
     with _default_lock:
         if _default_engine is None:

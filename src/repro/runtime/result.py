@@ -11,7 +11,7 @@ time, per-stage timings).
 For backward compatibility a :class:`RunResult` *unpacks* like the
 legacy two-tuple::
 
-    env, counters = program.run(bindings, nproc=8)
+    env, counters = program.run(bindings, config=BackendConfig(nproc=8))
 
 and, when produced by the MIMD backend (where ``env`` and ``counters``
 hold per-processor lists), it answers the :class:`MIMDResult`

@@ -17,20 +17,21 @@ millions of entries::
 
     <root>/ab/cd/abcd01...ef.art
 
-Each file is a one-line JSON header followed by a pickled payload::
+Each file is a framed record (:mod:`repro.reliability.framed`, shared
+with the checkpoint store): a one-line JSON header followed by a
+pickled payload::
 
     {"format": "repro.artifact/v1", "digest": ..., "source_sha": ...,
-     "sha256": <payload digest>, "payload_bytes": N, ...}\n
+     ..., "sha256": <payload digest>, "payload_bytes": N}\n
     <pickled payload dict>
 
-Writes reuse the :class:`~repro.reliability.checkpoint.CheckpointStore`
-hygiene: payload and header go to a temporary name *in the shard
-directory*, are fsynced, then published with ``os.replace`` — readers
-never observe a half-written artifact, and two processes publishing
-the same digest concurrently both succeed (last replace wins, the
-bytes are identical anyway).  Reads verify ``payload_bytes`` and the
-sha256 digest *before* unpickling, so truncated or bit-flipped entries
-are reported as corruption (and evicted), never executed as pickles.
+Publishing is atomic (temporary file in the shard directory, fsync,
+``os.replace``), so readers never observe a half-written artifact and
+two processes publishing the same digest concurrently both succeed
+(last replace wins, the bytes are identical anyway).  Reads verify
+``payload_bytes`` and the sha256 digest *before* unpickling, so
+truncated or bit-flipped entries are reported as corruption (and
+evicted), never executed as pickles.
 
 Eviction is LRU by mtime: every hit touches the file's mtime, and
 :meth:`ArtifactStore.evict` (run after each save) removes
@@ -41,13 +42,12 @@ recompiles.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import os
-import pickle
-import tempfile
+
+from ..reliability.framed import read_framed, suppress_os_errors, write_framed
 
 #: On-disk format tag; bump on incompatible layout changes.
 FORMAT = "repro.artifact/v1"
@@ -74,10 +74,6 @@ def artifact_digest(source_sha: str, options) -> str:
     }
     blob = json.dumps(identity, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _suppress():
-    return contextlib.suppress(OSError)
 
 
 class ArtifactStore:
@@ -124,28 +120,14 @@ class ArtifactStore:
         atomic, so readers always see one complete artifact.
         """
         final = self.path_for(digest)
-        directory = os.path.dirname(final)
-        os.makedirs(directory, exist_ok=True)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": FORMAT,
-            "digest": str(digest),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "payload_bytes": len(blob),
-            **(meta or {}),
-        }
-        data = json.dumps(header, default=str).encode() + b"\n" + blob
-        fd, tmp_path = tempfile.mkstemp(prefix=".tmp-art-", dir=directory)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, final)
-        except BaseException:
-            with _suppress():
-                os.unlink(tmp_path)
-            raise
+        os.makedirs(os.path.dirname(final), exist_ok=True)
+        write_framed(
+            final,
+            FORMAT,
+            payload,
+            {"digest": str(digest), **(meta or {})},
+            tmp_prefix=".tmp-art-",
+        )
         self.evict()
         return final
 
@@ -165,10 +147,10 @@ class ArtifactStore:
         except FileNotFoundError:
             return None
         except ArtifactError:
-            with _suppress():
+            with suppress_os_errors():
                 os.unlink(path)
             return None
-        with _suppress():
+        with suppress_os_errors():
             os.utime(path)
         return payload
 
@@ -179,38 +161,7 @@ class ArtifactStore:
         the payload reaches the unpickler, so hostile bit-flips are
         rejected as corruption, not executed as pickles.
         """
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
-            raise
-        except OSError as exc:
-            raise ArtifactError(f"{path}: unreadable: {exc}") from exc
-        newline = blob.find(b"\n")
-        if newline < 0:
-            raise ArtifactError(f"{path}: truncated header")
-        try:
-            header = json.loads(blob[:newline].decode())
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ArtifactError(f"{path}: malformed header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT:
-            raise ArtifactError(
-                f"{path}: not a {FORMAT} file "
-                f"(format={header.get('format') if isinstance(header, dict) else None!r})"
-            )
-        payload = blob[newline + 1:]
-        expected = header.get("payload_bytes")
-        if not isinstance(expected, int) or len(payload) != expected:
-            raise ArtifactError(
-                f"{path}: truncated payload "
-                f"({len(payload)} bytes, header says {expected})"
-            )
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            raise ArtifactError(f"{path}: digest mismatch (content corrupted)")
-        try:
-            obj = pickle.loads(payload)
-        except Exception as exc:  # digest-valid yet unloadable payload
-            raise ArtifactError(f"{path}: unloadable payload: {exc}") from exc
+        obj = read_framed(path, FORMAT, ArtifactError)
         if not isinstance(obj, dict):
             raise ArtifactError(
                 f"{path}: payload is {type(obj).__name__}, not a dict"
@@ -268,7 +219,7 @@ class ArtifactStore:
             or (self.max_bytes is not None and total > self.max_bytes)
         ):
             _mtime, size, path = entries[index]
-            with _suppress():
+            with suppress_os_errors():
                 os.unlink(path)
             total -= size
             evicted += 1
@@ -292,7 +243,7 @@ class ArtifactStore:
     def clear(self) -> None:
         """Drop every artifact (idempotent; shard dirs are retained)."""
         for _mtime, _size, path in self._entries():
-            with _suppress():
+            with suppress_os_errors():
                 os.unlink(path)
 
     def stats(self) -> dict:

@@ -182,10 +182,9 @@ class ServeApp:
                 result = await self.pool.submit(
                     program.run,
                     bindings,
-                    nproc=nproc,
                     backend=backend,
-                    budget=policy.budget(),
                     policy=policy.policy(),
+                    config=BackendConfig(nproc=nproc, budget=policy.budget()),
                 )
             result.wall_seconds = time.perf_counter() - start
         self.metrics.ran(result.backend)

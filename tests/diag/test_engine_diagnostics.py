@@ -3,6 +3,7 @@ the acceptance correlation — static findings match runtime behaviour."""
 
 import pytest
 
+from repro import BackendConfig
 from repro.kernels import example as ex
 from repro.lang.errors import CompileError
 from repro.reliability.errors import DivergenceFault
@@ -54,7 +55,7 @@ class TestStrictMode:
 
     def test_strict_run_raises_before_execution(self, engine):
         with pytest.raises(CompileError):
-            engine.run(RACE, {}, nproc=4, strict=True)
+            engine.run(RACE, {}, strict=True, config=BackendConfig(nproc=4))
 
     def test_strict_passes_on_warning_only_program(self, engine):
         program = engine.compile(ex.P1_SEQUENTIAL, strict=True)
@@ -77,7 +78,7 @@ class TestStaticRuntimeCorrelation:
         [finding] = engine.compile(RACE).diagnostics().errors
         assert finding.code == "R001"
         with pytest.raises(DivergenceFault) as info:
-            engine.run(RACE, {}, nproc=4, backend=backend)
+            engine.run(RACE, {}, backend=backend, config=BackendConfig(nproc=4))
         assert info.value.location is not None
         assert info.value.location.line == finding.location.line
 
@@ -86,10 +87,14 @@ class TestStaticRuntimeCorrelation:
         report = engine.compile(ex.P1_SEQUENTIAL).diagnostics()
         assert any(d.code == "W101" for d in report)
         naive = engine.run(
-            ex.P4_NAIVE_SIMD, ex.example_bindings(), nproc=ex.EXAMPLE_P
+            ex.P4_NAIVE_SIMD,
+            ex.example_bindings(),
+            config=BackendConfig(nproc=ex.EXAMPLE_P),
         )
         flat = engine.run(
-            ex.P5_FLATTENED_SIMD, ex.example_bindings(), nproc=ex.EXAMPLE_P
+            ex.P5_FLATTENED_SIMD,
+            ex.example_bindings(),
+            config=BackendConfig(nproc=ex.EXAMPLE_P),
         )
         # Lockstep body steps (the quickstart's metric): Eq. 2's sum of
         # maxima (12) vs Eq. 1's max of sums (8) on the paper's data.

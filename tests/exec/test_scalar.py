@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.exec import ScalarInterpreter, run_program
+import repro
+from repro import BackendConfig
+from repro.exec import ScalarInterpreter
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
 
 
 def run(text, bindings=None, externals=None):
-    return run_program(parse_source(text), bindings=bindings, externals=externals)
+    return repro.run(
+        parse_source(text),
+        bindings,
+        backend="scalar",
+        config=BackendConfig(externals=externals),
+    )
 
 
 class TestBasics:

@@ -149,6 +149,8 @@ END
         from repro.runtime import BackendConfig, Engine
 
         config = BackendConfig(
+            nproc=4,
+            fault_plan=plan,
             workers=2,
             supervision=SupervisionPolicy(
                 wedge_timeout=0.75,
@@ -163,10 +165,8 @@ END
         return Engine().run(
             source,
             bindings,
-            nproc=4,
             backend="pmimd",
             config=config,
-            fault_plan=plan,
         )
 
     def _assert_unlinked(self, instances, segment_names):

@@ -11,13 +11,21 @@ as a language error, not crash the backend with a raw numpy error.
 import numpy as np
 import pytest
 
-from repro.exec import run_simd_program
+import repro
+from repro import BackendConfig
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
 from repro.vm import run_bytecode
 
+
+def run_interpreter(source, nproc, bindings=None):
+    return repro.run(
+        source, bindings, backend="interpreter", config=BackendConfig(nproc=nproc)
+    )
+
+
 BACKENDS = [
-    pytest.param(run_simd_program, id="interpreter"),
+    pytest.param(run_interpreter, id="interpreter"),
     pytest.param(run_bytecode, id="vm"),
 ]
 

@@ -11,6 +11,8 @@ simulator's (itself differentially tested against the scalar
 reference), and the recovery taken is visible in the event log.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,22 +57,22 @@ def engine():
 def reference(engine):
     """The trusted twin: mimd envs/counters for the same inputs."""
     result = engine.run(
-        SOURCE, nproc=NPROC, backend="mimd",
+        SOURCE,
+        backend="mimd",
         bindings_for=lambda p: {"n": 48},
+        config=BackendConfig(nproc=NPROC),
     )
     return result
 
 
 def run_pmimd(engine, plan=None, policy=None, config=None):
+    config = config or BackendConfig(workers=2, shards=4, supervision=FAST)
     return engine.run(
         SOURCE,
-        nproc=NPROC,
         backend="pmimd",
         bindings_for=lambda p: {"n": 48},
-        fault_plan=plan,
         policy=policy,
-        config=config
-        or BackendConfig(workers=2, shards=4, supervision=FAST),
+        config=dataclasses.replace(config, nproc=NPROC, fault_plan=plan),
     )
 
 

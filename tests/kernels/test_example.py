@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_mimd_program, run_program, run_simd_program
+import repro
+from repro import BackendConfig
 from repro.kernels import example as ex
 from repro.lang import check_source
 
@@ -27,43 +28,50 @@ class TestPrograms:
             check_source(tree)
 
     def test_p1_sequential(self, expected):
-        env, _ = run_program(
-            ex.parse_example(ex.P1_SEQUENTIAL), bindings=ex.example_bindings()
+        env, _ = repro.run(
+            ex.parse_example(ex.P1_SEQUENTIAL), ex.example_bindings(), backend="scalar"
         )
         assert (env["x"].data == expected).all()
 
     def test_p2_fortran_d_runs_sequentially(self, expected):
-        env, _ = run_program(
-            ex.parse_example(ex.P2_FORTRAN_D), bindings=ex.example_bindings()
+        env, _ = repro.run(
+            ex.parse_example(ex.P2_FORTRAN_D), ex.example_bindings(), backend="scalar"
         )
         assert (env["x"].data == expected).all()
 
     def test_p3_mimd(self, expected):
-        result = run_mimd_program(
-            ex.parse_example(ex.P3_MIMD), ex.EXAMPLE_P, bindings_for=ex.mimd_bindings
+        result = repro.run(
+            ex.parse_example(ex.P3_MIMD),
+            backend="mimd",
+            bindings_for=ex.mimd_bindings,
+            config=BackendConfig(nproc=ex.EXAMPLE_P),
         )
         stacked = np.vstack([env["xloc"].data for env in result.envs])
         assert (stacked == expected).all()
 
     def test_p4_naive_simd(self, expected):
-        env, counters = run_simd_program(
-            ex.parse_example(ex.P4_NAIVE_SIMD), ex.EXAMPLE_P,
-            bindings=ex.example_bindings(),
+        env, counters = repro.run(
+            ex.parse_example(ex.P4_NAIVE_SIMD),
+            ex.example_bindings(),
+            backend="interpreter",
+            config=BackendConfig(nproc=ex.EXAMPLE_P),
         )
         assert (env["x"].data == expected).all()
         assert counters.events["scatter"] == 12  # Equation 2
 
     def test_p5_flattened_simd(self, expected):
-        env, counters = run_simd_program(
-            ex.parse_example(ex.P5_FLATTENED_SIMD), ex.EXAMPLE_P,
-            bindings=ex.example_bindings(),
+        env, counters = repro.run(
+            ex.parse_example(ex.P5_FLATTENED_SIMD),
+            ex.example_bindings(),
+            backend="interpreter",
+            config=BackendConfig(nproc=ex.EXAMPLE_P),
         )
         assert (env["x"].data == expected).all()
         assert counters.events["scatter"] == 8  # Equation 1
 
     def test_p1_goto_variant(self, expected):
-        env, _ = run_program(
-            ex.parse_example(ex.P1_GOTO), bindings=ex.example_bindings()
+        env, _ = repro.run(
+            ex.parse_example(ex.P1_GOTO), ex.example_bindings(), backend="scalar"
         )
         assert (env["x"].data == expected).all()
 

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import evaluate_flattening
-from repro.exec import run_program
 from repro.kernels.region_growing import (
     parse_kernel,
     run_sequential,
     synthesize_regions,
 )
 from repro.lang import ast
-from repro.transform import flatten_program
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +61,17 @@ class TestKernel:
     def test_flattened_kernel_matches(self, regions):
         rings, ring_sizes = regions
         tree = parse_kernel()
-        flat = flatten_program(tree, variant="done", assume_min_trips=True)
-        env, _ = run_program(
+        flat = repro.compile(
+            tree, transform="flatten", variant="done", assume_min_trips=True, simd=False
+        ).tree
+        env, _ = repro.run(
             flat,
-            bindings={
-                "nregions": int(rings.size),
-                "maxrings": int(ring_sizes.shape[1]),
-                "rings": rings,
-                "ring": ring_sizes,
-            },
+            {
+        "nregions": int(rings.size),
+        "maxrings": int(ring_sizes.shape[1]),
+        "rings": rings,
+        "ring": ring_sizes,
+    },
+            backend="scalar",
         )
         assert np.array_equal(env["area"].data, ring_sizes.sum(axis=1))

@@ -254,17 +254,17 @@ def interrupted_then_resumed(program, backend, cut, every=7):
         program.run(
             dict(BINDINGS),
             backend=backend,
-            nproc=nproc,
-            budget=Budget(max_steps=cut),
-            checkpoint_every=every,
             checkpoint_sink=captured.append,
+            config=BackendConfig(
+                nproc=nproc, budget=Budget(max_steps=cut), checkpoint_every=every
+            ),
         )
     assert captured, "no checkpoint captured before the interrupt"
     return captured, program.run(
         dict(BINDINGS),
         backend="auto",
-        nproc=nproc,
         resume_from=captured[-1],
+        config=BackendConfig(nproc=nproc),
     )
 
 
@@ -272,7 +272,9 @@ class TestExactResume:
     @pytest.fixture(scope="class")
     def references(self, program):
         return {
-            "vm": program.run(dict(BINDINGS), backend="vm", nproc=NPROC),
+            "vm": program.run(
+                dict(BINDINGS), backend="vm", config=BackendConfig(nproc=NPROC)
+            ),
             "scalar": program.run(dict(BINDINGS), backend="scalar"),
         }
 
@@ -299,9 +301,8 @@ class TestExactResume:
         program.run(
             dict(BINDINGS),
             backend=backend,
-            nproc=nproc,
-            checkpoint_every=11,
             checkpoint_sink=full.append,
+            config=BackendConfig(nproc=nproc, checkpoint_every=11),
         )
         full_steps = [c.step for c in full]
         assert full_steps, "program too short to capture"
@@ -309,10 +310,9 @@ class TestExactResume:
         program.run(
             dict(BINDINGS),
             backend="auto",
-            nproc=nproc,
             resume_from=full[0],
-            checkpoint_every=11,
             checkpoint_sink=tail.append,
+            config=BackendConfig(nproc=nproc, checkpoint_every=11),
         )
         assert [c.step for c in tail] == full_steps[1:]
 
@@ -324,34 +324,54 @@ class TestExactResume:
         program.run(
             dict(BINDINGS),
             backend="vm",
-            nproc=NPROC,
-            checkpoint_every=every,
             checkpoint_sink=captured.append,
+            config=BackendConfig(nproc=NPROC, checkpoint_every=every),
         )
         due = every
         for ckpt in captured:
             assert due <= ckpt.step < due + 32
             due = (ckpt.step // every + 1) * every
 
+    def test_vm_resume_takes_width_from_checkpoint(self, program):
+        """A config without ``nproc`` resumes at the captured width."""
+        ref = program.run(
+            dict(BINDINGS), backend="vm", config=BackendConfig(nproc=NPROC)
+        )
+        captured = []
+        program.run(
+            dict(BINDINGS),
+            backend="vm",
+            checkpoint_sink=captured.append,
+            config=BackendConfig(nproc=NPROC, checkpoint_every=7),
+        )
+        resumed = program.run(dict(BINDINGS), resume_from=captured[0])
+        assert resumed.backend == "vm" and resumed.nproc == NPROC
+        assert_env_equal(resumed.env, ref.env)
+        assert_counters_equal(resumed.counters, ref.counters)
+
     def test_store_plumbing_end_to_end(self, program, tmp_path):
         """checkpoint_dir wiring: interrupted run persists generations
         under key "run"; a later process resumes exactly."""
-        ref = program.run(dict(BINDINGS), backend="vm", nproc=NPROC)
+        ref = program.run(
+            dict(BINDINGS), backend="vm", config=BackendConfig(nproc=NPROC)
+        )
         with pytest.raises(BudgetExceeded):
             program.run(
                 dict(BINDINGS),
                 backend="vm",
-                nproc=NPROC,
-                budget=Budget(max_steps=int(ref.statements) // 2),
-                checkpoint_every=9,
-                checkpoint_dir=str(tmp_path),
+                config=BackendConfig(
+                    nproc=NPROC,
+                    budget=Budget(max_steps=int(ref.statements) // 2),
+                    checkpoint_every=9,
+                    checkpoint_dir=str(tmp_path),
+                ),
             )
         store = CheckpointStore(str(tmp_path))
         assert store.keys() == ["run"]
         ckpt = store.load_latest("run")
         assert ckpt.meta["source_sha"] == program.source_sha
         resumed = program.run(
-            dict(BINDINGS), nproc=NPROC, resume_from=ckpt
+            dict(BINDINGS), resume_from=ckpt, config=BackendConfig(nproc=NPROC)
         )
         assert_env_equal(resumed.env, ref.env)
         assert_counters_equal(resumed.counters, ref.counters)
@@ -362,15 +382,19 @@ class TestExactResume:
         """The acceptance scenario: newest generation corrupted on disk
         → resume continues from the previous one and still lands on the
         exact answer (never a wrong one)."""
-        ref = program.run(dict(BINDINGS), backend="vm", nproc=NPROC)
+        ref = program.run(
+            dict(BINDINGS), backend="vm", config=BackendConfig(nproc=NPROC)
+        )
         with pytest.raises(BudgetExceeded):
             program.run(
                 dict(BINDINGS),
                 backend="vm",
-                nproc=NPROC,
-                budget=Budget(max_steps=int(ref.statements) // 2),
-                checkpoint_every=5,
-                checkpoint_dir=str(tmp_path),
+                config=BackendConfig(
+                    nproc=NPROC,
+                    budget=Budget(max_steps=int(ref.statements) // 2),
+                    checkpoint_every=5,
+                    checkpoint_dir=str(tmp_path),
+                ),
             )
         directory = tmp_path / "run"
         gens = sorted(os.listdir(directory))
@@ -383,7 +407,7 @@ class TestExactResume:
         assert ckpt is not None  # the previous generation
         assert f"gen-{store.latest_generation('run')}.ckpt" == gens[-1]
         resumed = program.run(
-            dict(BINDINGS), nproc=NPROC, resume_from=ckpt
+            dict(BINDINGS), resume_from=ckpt, config=BackendConfig(nproc=NPROC)
         )
         assert_env_equal(resumed.env, ref.env)
         assert_counters_equal(resumed.counters, ref.counters)
@@ -396,9 +420,8 @@ class TestRefusals:
         program.run(
             dict(BINDINGS),
             backend="vm",
-            nproc=NPROC,
-            checkpoint_every=7,
             checkpoint_sink=captured.append,
+            config=BackendConfig(nproc=NPROC, checkpoint_every=7),
         )
         return captured[0]
 
@@ -407,8 +430,8 @@ class TestRefusals:
             program.run(
                 dict(BINDINGS),
                 backend="interpreter",
-                nproc=NPROC,
                 resume_from=vm_checkpoint,
+                config=BackendConfig(nproc=NPROC),
             )
 
     def test_other_program_refused(self, engine, program):
@@ -416,22 +439,21 @@ class TestRefusals:
         program.run(
             dict(BINDINGS),
             backend="vm",
-            nproc=NPROC,
-            checkpoint_every=7,
             checkpoint_sink=captured.append,
+            config=BackendConfig(nproc=NPROC, checkpoint_every=7),
         )
         ckpt = captured[0]
         ckpt.meta["source_sha"] = program.source_sha
         other = engine.compile(OTHER_SOURCE)
         with pytest.raises(InterpreterError, match="SHA mismatch"):
-            other.run({}, nproc=NPROC, resume_from=ckpt)
+            other.run({}, resume_from=ckpt, config=BackendConfig(nproc=NPROC))
 
     def test_other_width_refused(self, program, vm_checkpoint):
         with pytest.raises(InterpreterError, match="PEs"):
             program.run(
                 dict(BINDINGS),
-                nproc=NPROC * 2,
                 resume_from=vm_checkpoint,
+                config=BackendConfig(nproc=NPROC * 2),
             )
 
     def test_cross_fuse_resume_refused(self, program, vm_checkpoint):
@@ -439,18 +461,17 @@ class TestRefusals:
         with pytest.raises(InterpreterError, match="fuse"):
             program.run(
                 dict(BINDINGS),
-                nproc=NPROC,
                 resume_from=vm_checkpoint,
-                config=BackendConfig(vm_fuse=False),
+                config=BackendConfig(nproc=NPROC, vm_fuse=False),
             )
 
     def test_policy_chain_refused(self, program, vm_checkpoint):
         with pytest.raises(InterpreterError, match="FallbackPolicy"):
             program.run(
                 dict(BINDINGS),
-                nproc=NPROC,
                 resume_from=vm_checkpoint,
                 policy=FallbackPolicy(chain=("vm", "interpreter")),
+                config=BackendConfig(nproc=NPROC),
             )
 
     def test_lockstep_tree_walker_refused(self, program):
@@ -458,9 +479,8 @@ class TestRefusals:
             program.run(
                 dict(BINDINGS),
                 backend="interpreter",
-                nproc=NPROC,
-                checkpoint_every=5,
                 checkpoint_sink=[].append,
+                config=BackendConfig(nproc=NPROC, checkpoint_every=5),
             )
 
     def test_scalar_checkpoint_stays_on_scalar(self, program):
@@ -468,13 +488,13 @@ class TestRefusals:
         program.run(
             dict(BINDINGS),
             backend="scalar",
-            checkpoint_every=7,
             checkpoint_sink=captured.append,
+            config=BackendConfig(checkpoint_every=7),
         )
         with pytest.raises(InterpreterError, match="scalar"):
             program.run(
                 dict(BINDINGS),
                 backend="vm",
-                nproc=NPROC,
                 resume_from=captured[0],
+                config=BackendConfig(nproc=NPROC),
             )

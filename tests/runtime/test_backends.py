@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import BackendConfig
 from repro.kernels.example import (
     P4_NAIVE_SIMD,
     P5_FLATTENED_SIMD,
@@ -57,9 +58,10 @@ class TestDifferential:
                              ids=["naive", "flattened"])
     def test_example_kernels_agree(self, engine, text):
         program = engine.compile(text)
-        auto = program.run(example_bindings(), nproc=2)
-        interp = program.run(example_bindings(), nproc=2,
-                             backend="interpreter")
+        auto = program.run(example_bindings(), config=BackendConfig(nproc=2))
+        interp = program.run(
+            example_bindings(), backend="interpreter", config=BackendConfig(nproc=2)
+        )
         assert auto.backend == "vm" and interp.backend == "interpreter"
         assert_same_env(auto.env, interp.env)
         assert_same_counters(auto.counters, interp.counters)
@@ -71,9 +73,11 @@ class TestDifferential:
         runs = [
             program.run(
                 flat_kernel_bindings(small_pairlist, dist),
-                nproc=dist.gran,
                 backend=backend,
-                externals={"force": make_simd_force_external(small_molecule)},
+                config=BackendConfig(
+                    nproc=dist.gran,
+                    externals={"force": make_simd_force_external(small_molecule)},
+                ),
             )
             for backend in ("auto", "interpreter")
         ]
@@ -85,15 +89,16 @@ class TestDifferential:
 class TestSelection:
     def test_auto_prefers_vm(self, engine):
         result = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2
+            example_bindings(), config=BackendConfig(nproc=2)
         )
         assert result.backend == "vm"
 
     def test_statement_hook_forces_tree_walker(self, engine):
         seen = []
         result = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2,
+            example_bindings(),
             statement_hook=lambda *a, **k: seen.append(a),
+            config=BackendConfig(nproc=2),
         )
         assert result.backend == "interpreter"
         assert seen
@@ -105,16 +110,28 @@ class TestSelection:
         assert result.backend == "scalar" and result.nproc == 0
 
     def test_backend_aliases(self, engine):
+        # the 1.x aliases are rejected, and the error lists the backends
         program = engine.compile(P5_FLATTENED_SIMD)
-        assert program.run(example_bindings(), nproc=2,
-                           backend="tree").backend == "interpreter"
-        assert program.run(example_bindings(), nproc=2,
-                           backend="bytecode").backend == "vm"
+        for alias in ("interp", "tree", "bytecode", "sequential"):
+            with pytest.raises(
+                InterpreterError,
+                match=f"unknown backend '{alias}' \\(choose from 'auto', 'vm', "
+                "'interpreter', 'scalar', 'mimd', 'pmimd'\\)",
+            ):
+                program.run(
+                    example_bindings(), backend=alias, config=BackendConfig(nproc=2)
+                )
+        assert program.run(
+            example_bindings(), backend="interpreter", config=BackendConfig(nproc=2)
+        ).backend == "interpreter"
+        assert program.run(
+            example_bindings(), backend="vm", config=BackendConfig(nproc=2)
+        ).backend == "vm"
 
     def test_unknown_backend_rejected(self, engine):
         with pytest.raises(InterpreterError, match="unknown backend"):
             engine.compile(P5_FLATTENED_SIMD).run(
-                example_bindings(), nproc=2, backend="gpu"
+                example_bindings(), backend="gpu", config=BackendConfig(nproc=2)
             )
 
     def test_vector_backend_needs_nproc(self, engine):
@@ -126,7 +143,7 @@ class TestSelection:
     def test_scalar_backend_rejects_nproc(self, engine):
         with pytest.raises(InterpreterError, match="nproc=0"):
             engine.compile(P5_FLATTENED_SIMD).run(
-                example_bindings(), nproc=2, backend="scalar"
+                example_bindings(), backend="scalar", config=BackendConfig(nproc=2)
             )
 
     def test_explicit_vm_reports_compile_failure(self, engine):
@@ -138,6 +155,7 @@ class TestSelection:
         assert program.bytecode() is None
         assert "subroutine" in program.bytecode_error
         with pytest.raises(TransformError, match="bytecode"):
-            program.run({"x": 0}, nproc=2, backend="vm")
+            program.run({"x": 0}, backend="vm", config=BackendConfig(nproc=2))
         # ...but auto quietly falls back to the tree-walker
-        assert program.run({"x": 0}, nproc=2).backend == "interpreter"
+        result = program.run({"x": 0}, config=BackendConfig(nproc=2))
+        assert result.backend == "interpreter"

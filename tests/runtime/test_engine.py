@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import BackendConfig
 from repro.kernels.example import P1_SEQUENTIAL, example_bindings, expected_x
 from repro.lang import ast, format_source, parse_source
 from repro.lang.errors import TransformError
@@ -72,8 +73,11 @@ class TestCacheKeys:
         program = engine.compile(P1_SEQUENTIAL, transform="flatten",
                                  assume_min_trips=True)
         for nproc in (2, 4, 8):
-            result = program.run(example_bindings(), nproc=nproc,
-                                 backend="interpreter")
+            result = program.run(
+                example_bindings(),
+                backend="interpreter",
+                config=BackendConfig(nproc=nproc),
+            )
             assert (result.env["x"].data == expected_x()).all()
         assert engine.stats.compiles == 1 and engine.stats.misses == 1
 
@@ -112,7 +116,7 @@ class TestIsolation:
     def test_bindings_are_not_mutated(self, engine):
         bindings = example_bindings()
         keep = bindings["l"].copy()
-        engine.compile(P1_SEQUENTIAL).run(bindings, nproc=2)
+        engine.compile(P1_SEQUENTIAL).run(bindings, config=BackendConfig(nproc=2))
         assert list(bindings) == ["l"]
         assert (bindings["l"] == keep).all()
 
@@ -147,16 +151,6 @@ class TestDefaultEngine:
         reset_default_engine()
         assert default_engine() is not shared
 
-    def test_legacy_shims_share_the_default_engine(self):
-        from repro import run_program
-
-        reset_default_engine()
-        run_program(parse_source(P1_SEQUENTIAL), bindings=example_bindings())
-        run_program(parse_source(P1_SEQUENTIAL), bindings=example_bindings())
-        stats = default_engine().stats
-        assert stats.hits == 1 and stats.misses == 1
-        reset_default_engine()
-
 
 class TestStats:
     def test_hit_rate_and_snapshot(self, engine):
@@ -190,7 +184,7 @@ class TestFailedCompiles:
         program = engine.compile(P1_SEQUENTIAL, transform="simdize", width=2)
         assert not program.cache_hit
         assert len(engine) == 1
-        env, _ = program.run(example_bindings(), nproc=2)
+        env, _ = program.run(example_bindings(), config=BackendConfig(nproc=2))
         np.testing.assert_allclose(env["x"].data, expected_x())
 
     def test_refailing_compile_raises_every_time(self, engine):

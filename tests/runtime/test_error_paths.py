@@ -8,6 +8,7 @@ snapshot usable as a crash dump.
 import numpy as np
 import pytest
 
+from repro import BackendConfig
 from repro.lang.errors import InterpreterError
 from repro.reliability import DivergenceFault, OutOfBoundsFault, crash_dump_for
 from repro.runtime import Engine
@@ -60,7 +61,9 @@ class TestZeroStrideDo:
     @BOTH
     def test_raises_located_interpreter_error(self, engine, backend):
         with pytest.raises(InterpreterError, match="stride is zero") as excinfo:
-            engine.run(ZERO_STRIDE, {"s": 0}, nproc=2, backend=backend)
+            engine.run(
+                ZERO_STRIDE, {"s": 0}, backend=backend, config=BackendConfig(nproc=2)
+            )
         error = excinfo.value
         assert error.location.line == 4  # the DO statement
         assert error.snapshot is not None
@@ -73,7 +76,7 @@ class TestUnknownExternalCall:
     @BOTH
     def test_raises_located_error(self, engine, backend):
         with pytest.raises(InterpreterError, match="unknown") as excinfo:
-            engine.run(UNKNOWN_CALL, nproc=2, backend=backend)
+            engine.run(UNKNOWN_CALL, backend=backend, config=BackendConfig(nproc=2))
         assert excinfo.value.location.line == 4
         assert excinfo.value.snapshot is not None
 
@@ -82,7 +85,7 @@ class TestDivergentControlFlow:
     @BOTH
     def test_divergent_if_is_a_divergence_fault(self, engine, backend):
         with pytest.raises(DivergenceFault, match="diverges") as excinfo:
-            engine.run(DIVERGENT_IF, nproc=4, backend=backend)
+            engine.run(DIVERGENT_IF, backend=backend, config=BackendConfig(nproc=4))
         assert excinfo.value.location.line == 4
         assert excinfo.value.retryable is False
 
@@ -97,7 +100,7 @@ class TestSubscriptBounds:
     @BOTH
     def test_oob_read_is_classified_and_located(self, engine, backend):
         with pytest.raises(OutOfBoundsFault, match="out of bounds") as excinfo:
-            engine.run(OOB_READ, nproc=2, backend=backend)
+            engine.run(OOB_READ, backend=backend, config=BackendConfig(nproc=2))
         error = excinfo.value
         assert error.location.line == 5
         assert error.snapshot is not None

@@ -1,7 +1,7 @@
 """The top-level API facade: repro.compile/run/lint, BackendConfig
-threading, RunResult.steps, and the deprecation contract on the
-historical free functions."""
+threading, RunResult.steps, and a warning-free facade."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -28,10 +28,11 @@ END
 class TestFacade:
     def test_compile_returns_compiled_program(self):
         program = repro.compile(PROGRAM)
-        assert program.run({"n": 4}, nproc=4).env["y"].data.tolist() == [0, 0, 30, 40]
+        result = program.run({"n": 4}, config=BackendConfig(nproc=4))
+        assert result.env["y"].data.tolist() == [0, 0, 30, 40]
 
     def test_run_one_call(self):
-        result = repro.run(PROGRAM, {"n": 4}, nproc=4)
+        result = repro.run(PROGRAM, {"n": 4}, config=BackendConfig(nproc=4))
         assert result.env["y"].data.tolist() == [0, 0, 30, 40]
         env, counters = result  # legacy tuple shape still unpacks
         assert env is result.env and counters is result.counters
@@ -50,20 +51,20 @@ class TestFacade:
 
 class TestRunResultSteps:
     def test_steps_matches_counters(self):
-        result = repro.run(PROGRAM, {"n": 4}, nproc=4)
+        result = repro.run(PROGRAM, {"n": 4}, config=BackendConfig(nproc=4))
         assert result.steps == result.counters.total_steps > 0
 
     def test_steps_on_mimd_is_max_over_procs(self):
         text = "PROGRAM p\n  s = 0\n  DO i = 1, 5\n    s = s + i\n  ENDDO\nEND"
-        result = repro.run(text, nproc=2, backend="mimd")
+        result = repro.run(text, backend="mimd", config=BackendConfig(nproc=2))
         assert result.steps == max(c.total_steps for c in result.counters) > 0
 
     def test_wall_seconds_populated(self):
-        result = repro.run(PROGRAM, {"n": 4}, nproc=4)
+        result = repro.run(PROGRAM, {"n": 4}, config=BackendConfig(nproc=4))
         assert result.wall_seconds > 0
 
     def test_tuple_protocol_still_length_two(self):
-        result = repro.run(PROGRAM, {"n": 4}, nproc=4)
+        result = repro.run(PROGRAM, {"n": 4}, config=BackendConfig(nproc=4))
         assert len(result) == 2
 
 
@@ -80,13 +81,6 @@ class TestBackendConfig:
         assert result.counters is counters
         assert counters.total_steps > 0
 
-    def test_explicit_kwargs_win_over_config(self):
-        config = BackendConfig(nproc=2)
-        result = Engine().compile(PROGRAM).run(
-            {"n": 4}, nproc=4, backend="vm", config=config
-        )
-        assert len(result.env["y"].data) == 4
-
     def test_config_supplies_nproc_and_externals(self):
         calls = []
 
@@ -100,6 +94,18 @@ class TestBackendConfig:
         assert calls == [[1, 2, 3, 4]]
         assert result.env["w"].tolist() == [1, 2, 3, 4]
 
+    def test_run_takes_settings_only_through_config(self):
+        params = inspect.signature(repro.CompiledProgram.run).parameters
+        for loose in ("nproc", "externals", "budget", "fault_plan",
+                      "checkpoint_every", "checkpoint_dir"):
+            assert loose not in params
+            assert loose in BackendConfig.__dataclass_fields__
+
+    def test_loose_settings_are_rejected_on_every_run_path(self):
+        for run in (repro.run, Engine().run):
+            with pytest.raises(TypeError, match="nproc"):
+                run(PROGRAM, {"n": 4}, nproc=4)
+
     def test_with_nproc_returns_new_config(self):
         config = BackendConfig(nproc=2)
         wider = config.with_nproc(8)
@@ -107,52 +113,19 @@ class TestBackendConfig:
 
     def test_fuse_flag_observable_equivalence(self):
         fused = Engine().compile(PROGRAM).run(
-            {"n": 4}, nproc=4, backend="vm",
-            config=BackendConfig(vm_fuse=True),
+            {"n": 4}, backend="vm", config=BackendConfig(nproc=4, vm_fuse=True)
         )
         plain = Engine().compile(PROGRAM).run(
-            {"n": 4}, nproc=4, backend="vm",
-            config=BackendConfig(vm_fuse=False),
+            {"n": 4}, backend="vm", config=BackendConfig(nproc=4, vm_fuse=False)
         )
         assert fused.env["y"].data.tolist() == plain.env["y"].data.tolist()
         assert fused.steps == plain.steps
 
 
 class TestDeprecatedShims:
-    def _tree(self):
-        return repro.parse_source(PROGRAM)
-
-    def test_run_program_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            env, _ = repro.run_program(
-                repro.parse_source("PROGRAM p\n  x = 1 + 2\nEND")
-            )
-        assert env["x"] == 3
-
-    def test_run_simd_program_warns(self):
-        with pytest.warns(DeprecationWarning, match="removal planned for 2.0"):
-            env, _ = repro.run_simd_program(self._tree(), 4, bindings={"n": 4})
-        assert env["y"].data.tolist() == [0, 0, 30, 40]
-
-    def test_run_mimd_program_warns(self):
-        tree = repro.parse_source(
-            "PROGRAM p\n  s = 0\n  DO i = 1, 5\n    s = s + i\n  ENDDO\nEND"
-        )
-        with pytest.warns(DeprecationWarning, match="backend='mimd'"):
-            envs, _ = repro.run_mimd_program(tree, 2)
-        assert len(envs) == 2
-
-    def test_flatten_program_warns(self):
-        nest = (
-            "PROGRAM p\n  INTEGER i, j, n, l(n), x(n, 4)\n"
-            "  DO i = 1, n\n    DO j = 1, l(i)\n      x(i, j) = i\n"
-            "    ENDDO\n  ENDDO\nEND"
-        )
-        with pytest.warns(DeprecationWarning, match="transform='flatten'"):
-            tree = repro.flatten_program(repro.parse_source(nest))
-        assert tree is not None
+    """The 1.x free functions are gone; the facade warns about nothing."""
 
     def test_facade_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            repro.run(PROGRAM, {"n": 4}, nproc=4)
+            repro.run(PROGRAM, {"n": 4}, config=BackendConfig(nproc=4))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import BackendConfig
 from repro.lang.errors import InterpreterError
 from repro.reliability import (
     Attempt,
@@ -63,7 +64,11 @@ class TestBudget:
     def test_spin_loop_killed_on_every_backend(self, engine, backend, nproc):
         budget = Budget(max_steps=500)
         with pytest.raises(BudgetExceeded, match="budget"):
-            engine.run(SPIN_PROGRAM, nproc=nproc, backend=backend, budget=budget)
+            engine.run(
+                SPIN_PROGRAM,
+                backend=backend,
+                config=BackendConfig(nproc=nproc, budget=budget),
+            )
 
     @pytest.mark.parametrize(
         "backend,nproc",
@@ -72,8 +77,9 @@ class TestBudget:
     def test_budget_error_carries_snapshot(self, engine, backend, nproc):
         with pytest.raises(BudgetExceeded) as excinfo:
             engine.run(
-                SPIN_PROGRAM, nproc=nproc, backend=backend,
-                budget=Budget(max_steps=500),
+                SPIN_PROGRAM,
+                backend=backend,
+                config=BackendConfig(nproc=nproc, budget=Budget(max_steps=500)),
             )
         snap = excinfo.value.snapshot
         assert snap is not None
@@ -82,17 +88,25 @@ class TestBudget:
 
     def test_budget_error_is_an_interpreter_error(self, engine):
         with pytest.raises(InterpreterError):
-            engine.run(SPIN_PROGRAM, nproc=2, backend="vm",
-                       budget=Budget(max_steps=100))
+            engine.run(
+                SPIN_PROGRAM,
+                backend="vm",
+                config=BackendConfig(nproc=2, budget=Budget(max_steps=100)),
+            )
 
     def test_deadline_kills_spin_loop(self, engine):
         budget = Budget(max_steps=None, deadline_seconds=0.05, check_every=16)
         with pytest.raises(BudgetExceeded, match="deadline"):
-            engine.run(SPIN_PROGRAM, nproc=2, backend="vm", budget=budget)
+            engine.run(
+                SPIN_PROGRAM, backend="vm", config=BackendConfig(nproc=2, budget=budget)
+            )
 
     def test_normal_run_within_budget(self, engine):
-        result = engine.run(WHERE_PROGRAM, nproc=4, backend="vm",
-                            budget=Budget(max_steps=1_000))
+        result = engine.run(
+            WHERE_PROGRAM,
+            backend="vm",
+            config=BackendConfig(nproc=4, budget=Budget(max_steps=1_000)),
+        )
         assert np.array_equal(result.env["w"], EXPECTED_W)
         assert result.statements <= 1_000
 
@@ -102,14 +116,24 @@ class TestFaultPlan:
         for _ in range(2):
             plan = FaultPlan(seed=3, fail_backends=("vm",))
             with pytest.raises(BackendFault, match="injected backend failure"):
-                engine.run(WHERE_PROGRAM, nproc=4, backend="vm", fault_plan=plan)
+                engine.run(
+                    WHERE_PROGRAM,
+                    backend="vm",
+                    config=BackendConfig(nproc=4, fault_plan=plan),
+                )
 
     def test_transient_op_fault_fires_once_per_plan(self, engine):
         plan = FaultPlan(op_faults=(5,))
         with pytest.raises(BackendFault, match="injected transient fault"):
-            engine.run(WHERE_PROGRAM, nproc=4, backend="vm", fault_plan=plan)
+            engine.run(
+                WHERE_PROGRAM,
+                backend="vm",
+                config=BackendConfig(nproc=4, fault_plan=plan),
+            )
         # same plan instance: the fault already fired, the retry passes
-        result = engine.run(WHERE_PROGRAM, nproc=4, backend="vm", fault_plan=plan)
+        result = engine.run(
+            WHERE_PROGRAM, backend="vm", config=BackendConfig(nproc=4, fault_plan=plan)
+        )
         assert np.array_equal(result.env["w"], EXPECTED_W)
 
     def test_dropout_mask_deterministic_in_seed(self):
@@ -121,8 +145,9 @@ class TestFaultPlan:
 
     def test_explicit_pe_dropout_freezes_lanes(self, engine):
         plan = FaultPlan(dropout_pes=(1, 3))
-        result = engine.run(WHERE_PROGRAM, nproc=4, backend="vm",
-                            fault_plan=plan)
+        result = engine.run(
+            WHERE_PROGRAM, backend="vm", config=BackendConfig(nproc=4, fault_plan=plan)
+        )
         # dead lanes keep their initial (zero) values
         w = result.env["w"]
         assert w[1] == 0 and w[3] == 0
@@ -148,9 +173,8 @@ class TestFallbackChain:
         )
         plan = FaultPlan(seed=7, op_faults=(push + 3,), backends=("vm",))
         result = program.run(
-            nproc=4,
-            fault_plan=plan,
             policy=FallbackPolicy(chain=("vm", "interpreter"), retries=0),
+            config=BackendConfig(nproc=4, fault_plan=plan),
         )
         assert result.backend == "interpreter"
         assert [(a.backend, a.ok) for a in result.attempts] == [
@@ -176,8 +200,9 @@ class TestFallbackChain:
     def test_retry_clears_transient_fault_on_same_backend(self, engine):
         plan = FaultPlan(op_faults=(5,), backends=("vm",))
         result = engine.run(
-            WHERE_PROGRAM, nproc=4, fault_plan=plan,
+            WHERE_PROGRAM,
             policy=FallbackPolicy(chain=("vm", "interpreter"), retries=1),
+            config=BackendConfig(nproc=4, fault_plan=plan),
         )
         assert result.backend == "vm"
         assert [(a.backend, a.ok) for a in result.attempts] == [
@@ -187,8 +212,9 @@ class TestFallbackChain:
     def test_permanent_fault_exhausts_retries_then_degrades(self, engine):
         plan = FaultPlan(fail_backends=("vm",))
         result = engine.run(
-            WHERE_PROGRAM, nproc=4, fault_plan=plan,
+            WHERE_PROGRAM,
             policy=FallbackPolicy(chain=("vm", "interpreter"), retries=1),
+            config=BackendConfig(nproc=4, fault_plan=plan),
         )
         assert result.backend == "interpreter"
         assert [(a.backend, a.ok) for a in result.attempts] == [
@@ -198,8 +224,9 @@ class TestFallbackChain:
     def test_nonretryable_fault_raises_immediately(self, engine):
         with pytest.raises(BudgetExceeded) as excinfo:
             engine.run(
-                SPIN_PROGRAM, nproc=2, budget=Budget(max_steps=200),
+                SPIN_PROGRAM,
                 policy=FallbackPolicy(chain=("vm", "interpreter"), retries=1),
+                config=BackendConfig(nproc=2, budget=Budget(max_steps=200)),
             )
         attempts = excinfo.value.attempts
         assert [(a.backend, a.ok) for a in attempts] == [("vm", False)]
@@ -209,8 +236,9 @@ class TestFallbackChain:
         plan = FaultPlan(fail_backends=("vm", "interpreter"))
         with pytest.raises(BackendFault) as excinfo:
             engine.run(
-                WHERE_PROGRAM, nproc=4, fault_plan=plan,
+                WHERE_PROGRAM,
                 policy=FallbackPolicy(chain=("vm", "interpreter"), retries=0),
+                config=BackendConfig(nproc=4, fault_plan=plan),
             )
         assert [(a.backend, a.ok) for a in excinfo.value.attempts] == [
             ("vm", False), ("interpreter", False),
@@ -219,8 +247,9 @@ class TestFallbackChain:
     def test_unresolvable_backend_recorded_and_skipped(self, engine):
         # nproc=0: the vm cannot run at all; the chain degrades to scalar
         result = engine.run(
-            WHERE_PROGRAM.replace("[1 : 4]", "2"), nproc=0,
+            WHERE_PROGRAM.replace("[1 : 4]", "2"),
             policy=FallbackPolicy(chain=("vm", "scalar"), retries=0),
+            config=BackendConfig(nproc=0),
         )
         assert result.backend == "scalar"
         assert [(a.backend, a.ok) for a in result.attempts] == [
@@ -229,8 +258,9 @@ class TestFallbackChain:
 
     def test_verify_runs_rest_of_chain_and_agrees(self, engine):
         result = engine.run(
-            WHERE_PROGRAM, nproc=4,
+            WHERE_PROGRAM,
             policy=FallbackPolicy(chain=("vm", "interpreter"), verify=True),
+            config=BackendConfig(nproc=4),
         )
         assert result.backend == "vm"
         assert [(a.backend, a.ok) for a in result.attempts] == [
@@ -240,8 +270,9 @@ class TestFallbackChain:
     def test_attempts_serialize(self, engine):
         plan = FaultPlan(fail_backends=("vm",))
         result = engine.run(
-            WHERE_PROGRAM, nproc=4, fault_plan=plan,
+            WHERE_PROGRAM,
             policy=FallbackPolicy(chain=("vm", "interpreter"), retries=0),
+            config=BackendConfig(nproc=4, fault_plan=plan),
         )
         payload = [a.to_dict() for a in result.attempts]
         json.dumps(payload, default=str)

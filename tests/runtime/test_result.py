@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import BackendConfig
 from repro.exec import MIMDSimulator
 from repro.exec.counters import ExecutionCounters
 from repro.kernels.example import (
@@ -23,7 +24,7 @@ def engine():
 class TestTupleProtocol:
     def test_unpacks_like_the_legacy_pair(self, engine):
         result = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2
+            example_bindings(), config=BackendConfig(nproc=2)
         )
         env, counters = result
         assert env is result.env
@@ -32,7 +33,7 @@ class TestTupleProtocol:
 
     def test_len_and_indexing(self, engine):
         result = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2
+            example_bindings(), config=BackendConfig(nproc=2)
         )
         assert len(result) == 2
         assert result[0] is result.env
@@ -40,7 +41,7 @@ class TestTupleProtocol:
 
     def test_single_backend_aggregates(self, engine):
         result = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2
+            example_bindings(), config=BackendConfig(nproc=2)
         )
         assert result.envs == [result.env]
         assert result.time_steps() == result.counters.total_steps
@@ -50,7 +51,9 @@ class TestTupleProtocol:
 class TestMIMDParity:
     def test_matches_mimd_result_queries(self, engine):
         result = engine.compile(P3_MIMD).run(
-            nproc=EXAMPLE_P, backend="mimd", bindings_for=mimd_bindings
+            backend="mimd",
+            bindings_for=mimd_bindings,
+            config=BackendConfig(nproc=EXAMPLE_P),
         )
         reference = MIMDSimulator(parse_source(P3_MIMD), EXAMPLE_P).run(
             bindings_for=mimd_bindings
@@ -64,7 +67,9 @@ class TestMIMDParity:
 
     def test_mimd_env_unpacking_gives_lists(self, engine):
         envs, counters = engine.compile(P3_MIMD).run(
-            nproc=EXAMPLE_P, backend="mimd", bindings_for=mimd_bindings
+            backend="mimd",
+            bindings_for=mimd_bindings,
+            config=BackendConfig(nproc=EXAMPLE_P),
         )
         assert isinstance(envs, list) and len(envs) == EXAMPLE_P
         assert isinstance(counters, list) and len(counters) == EXAMPLE_P
@@ -73,17 +78,17 @@ class TestMIMDParity:
 class TestProvenance:
     def test_cache_provenance_flows_into_results(self, engine):
         cold = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2
+            example_bindings(), config=BackendConfig(nproc=2)
         )
         warm = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2
+            example_bindings(), config=BackendConfig(nproc=2)
         )
         assert not cold.cache_hit
         assert warm.cache_hit
 
     def test_fields_are_self_describing(self, engine):
         result = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2
+            example_bindings(), config=BackendConfig(nproc=2)
         )
         assert isinstance(result, RunResult)
         assert result.nproc == 2

@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro import BackendConfig
 from repro.reliability import Budget, crash_dump_for
 from repro.reliability.errors import BudgetExceeded
 from repro.reliability.supervisor import error_from_dump, snapshot_from_dump
@@ -32,7 +33,11 @@ SPIN = (
 def dump():
     """A real crash dump from a budget-killed VM run."""
     try:
-        Engine().run(SPIN, nproc=4, backend="vm", budget=Budget(max_steps=200))
+        Engine().run(
+            SPIN,
+            backend="vm",
+            config=BackendConfig(nproc=4, budget=Budget(max_steps=200)),
+        )
     except BudgetExceeded as error:
         return crash_dump_for(error)
     raise AssertionError("spin program should have blown the budget")
@@ -95,7 +100,9 @@ class TestForkBoundary:
         def worker(conn):
             try:
                 Engine().run(
-                    SPIN, nproc=4, backend="vm", budget=Budget(max_steps=200)
+                    SPIN,
+                    backend="vm",
+                    config=BackendConfig(nproc=4, budget=Budget(max_steps=200)),
                 )
             except BudgetExceeded as error:
                 conn.send(crash_dump_for(error))

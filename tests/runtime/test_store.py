@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import BackendConfig
 from repro.kernels.example import P1_SEQUENTIAL, P3_MIMD
 from repro.runtime import Engine
 from repro.runtime.engine import CompileOptions
@@ -233,8 +234,8 @@ class TestEngineIntegration:
         root = str(tmp_path / "store")
         cold = Engine(store_dir=root).compile(P1_SEQUENTIAL, transform="flatten")
         warm = Engine(store_dir=root).compile(P1_SEQUENTIAL, transform="flatten")
-        res_cold = cold.run({"n": 4}, nproc=4)
-        res_warm = warm.run({"n": 4}, nproc=4)
+        res_cold = cold.run({"n": 4}, config=BackendConfig(nproc=4))
+        res_warm = warm.run({"n": 4}, config=BackendConfig(nproc=4))
         assert res_warm.backend == res_cold.backend
         assert res_warm.steps == res_cold.steps
 

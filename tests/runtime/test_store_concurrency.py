@@ -12,6 +12,7 @@ import os
 import threading
 import time
 
+from repro import BackendConfig
 from repro.kernels.example import P1_SEQUENTIAL
 from repro.runtime import ArtifactStore, Engine
 from repro.runtime.engine import CompileOptions
@@ -190,4 +191,4 @@ class TestThreadedSameEngine:
         assert len(shas) == 1
         # Cache insertion raced, but every thread got a working program.
         for program in programs:
-            assert program.run({"n": 4}, nproc=4).backend == "vm"
+            assert program.run({"n": 4}, config=BackendConfig(nproc=4)).backend == "vm"

@@ -9,6 +9,7 @@ it bit-for-bit (env and counters both).
 import numpy as np
 import pytest
 
+from repro import BackendConfig
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
 from repro.reliability import BackendFault
@@ -33,7 +34,7 @@ def _run(engine, **kwargs):
     return engine.run(
         parse_source(PROGRAM),
         {"y": np.zeros(4, dtype=np.int64)},
-        nproc=4,
+        config=BackendConfig(nproc=4),
         **kwargs,
     )
 
@@ -60,7 +61,9 @@ class TestVerifyFlag:
 
     def test_nproc_zero_rejected(self, engine):
         with pytest.raises(InterpreterError, match="nproc >= 1"):
-            engine.run(parse_source(PROGRAM), {}, nproc=0, verify=True)
+            engine.run(
+                parse_source(PROGRAM), {}, verify=True, config=BackendConfig(nproc=0)
+            )
 
     def test_disagreement_raises_backend_fault(self, engine, monkeypatch):
         # corrupt the cross-check run so the two backends genuinely

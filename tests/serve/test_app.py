@@ -117,6 +117,30 @@ class TestEndpoints:
 
         with_app(body)
 
+    def test_removed_backend_alias_400(self):
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/run",
+                {"source": P1_SEQUENTIAL, "backend": "interp", "nproc": 4},
+            )
+            assert status == 400
+            assert "unknown backend 'interp'" in out["error"]["message"]
+            assert "'interpreter'" in out["error"]["message"]
+
+        with_app(body)
+
+    def test_removed_transform_alias_400(self):
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/compile",
+                {"source": P1_SEQUENTIAL, "transform": "flattened"},
+            )
+            assert status == 400
+            assert "unknown transform 'flattened'" in out["error"]["message"]
+            assert "'flatten'" in out["error"]["message"]
+
+        with_app(body)
+
     def test_lint_reports_diagnostics(self):
         async def body(app):
             status, out = await request(

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import run_program, run_simd_program
+import repro
+from repro import BackendConfig
 from repro.lang import ast, parse_source
 from repro.lang.errors import TransformError
 from repro.transform import flatten_deep, simdize_structured
@@ -33,7 +34,7 @@ def workload():
     l = rng.integers(1, 4, 4)
     m = rng.integers(1, 6, (4, 3))
     src = parse_source(THREE_LEVEL)
-    env, _ = run_program(src, bindings={"l": l, "m": m})
+    env, _ = repro.run(src, {"l": l, "m": m}, backend="scalar")
     return l, m, env["x"].data.copy()
 
 
@@ -50,7 +51,7 @@ class TestFlattenDeep:
         src = parse_source(THREE_LEVEL)
         loop = next(s for s in src.main.body if isinstance(s, ast.Do))
         flat = flatten_deep(loop, variant=variant, assume_min_trips=True)
-        env, _ = run_program(splice(src, flat), bindings={"l": l, "m": m})
+        env, _ = repro.run(splice(src, flat), {"l": l, "m": m}, backend="scalar")
         assert (env["x"].data == ref).all()
 
     def test_optimized_output_is_a_single_loop(self, workload):
@@ -71,7 +72,12 @@ class TestFlattenDeep:
         flat = simdize_structured(
             flatten_deep(loop, variant="done", assume_min_trips=True)
         )
-        env, _ = run_simd_program(splice(src, flat), 1, bindings={"l": l, "m": m})
+        env, _ = repro.run(
+            splice(src, flat),
+            {"l": l, "m": m},
+            backend="interpreter",
+            config=BackendConfig(nproc=1),
+        )
         assert (env["x"].data == ref).all()
 
     def test_two_level_nest_delegates(self, workload):
@@ -105,8 +111,11 @@ class TestDeepSPMD:
         flat = flatten_spmd(
             loop, nproc=nproc, layout=layout, variant="done", assume_min_trips=True
         )
-        env, _ = run_simd_program(
-            splice(src, flat), nproc, bindings={"l": l, "m": m}
+        env, _ = repro.run(
+            splice(src, flat),
+            {"l": l, "m": m},
+            backend="interpreter",
+            config=BackendConfig(nproc=nproc),
         )
         assert (env["x"].data == ref).all()
 
@@ -120,8 +129,11 @@ class TestDeepSPMD:
             loop, nproc=nproc, layout="cyclic", variant="done",
             assume_min_trips=True,
         )
-        _, counters = run_simd_program(
-            splice(src, flat), nproc, bindings={"l": l, "m": m}
+        _, counters = repro.run(
+            splice(src, flat),
+            {"l": l, "m": m},
+            backend="interpreter",
+            config=BackendConfig(nproc=nproc),
         )
         per_lane = []
         for lane in range(nproc):
@@ -157,7 +169,7 @@ END
 """
     src = parse_source(text)
     bindings = {"l": np.array(l), "m": m}
-    env0, _ = run_program(src, bindings=dict(bindings))
+    env0, _ = repro.run(src, dict(bindings), backend="scalar")
     ref = env0["x"].data.copy()
     loop = next(s for s in src.main.body if isinstance(s, ast.Do))
     flat = flatten_spmd(
@@ -166,5 +178,7 @@ END
     prog = ast.SourceFile(
         [ast.Routine("program", "p", [], src.main.body[:1] + flat)]
     )
-    env, _ = run_simd_program(prog, nproc, bindings=dict(bindings))
+    env, _ = repro.run(
+        prog, dict(bindings), backend="interpreter", config=BackendConfig(nproc=nproc)
+    )
     assert (env["x"].data == ref).all()

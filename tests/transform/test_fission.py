@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import BackendConfig
 from repro.lang import ast, parse_source, parse_statements
 from repro.lang.errors import TransformError
 from repro.transform import fission_loop, fission_program
@@ -16,8 +17,8 @@ def loop_of(text):
 
 def run_both(source, **kwargs):
     transformed = repro.compile(source, transform="fission", **kwargs)
-    got = transformed.run({}, nproc=4).env
-    ref = repro.run(source, nproc=4).env
+    got = transformed.run({}, config=BackendConfig(nproc=4)).env
+    ref = repro.run(source, config=BackendConfig(nproc=4)).env
     return transformed, got, ref
 
 
@@ -117,8 +118,10 @@ class TestRejections:
 
 class TestOptionsIntegration:
     def test_distribute_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="fission"):
-            program = repro.compile(CHAIN, transform="distribute")
+        # the 1.x alias is rejected, naming the canonical spelling
+        with pytest.raises(TransformError, match="'distribute'.*'fission'"):
+            repro.compile(CHAIN, transform="distribute")
+        program = repro.compile(CHAIN, transform="fission")
         loops = [
             s for s in program.tree.units[0].body if isinstance(s, ast.Do)
         ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import BackendConfig
 from repro.lang import ast, parse_statements
 from repro.lang.errors import TransformError
 from repro.transform import interchange_loops
@@ -16,8 +17,8 @@ def loop_of(text):
 
 def run_both(source):
     transformed = repro.compile(source, transform="interchange")
-    got = transformed.run({}, nproc=4).env
-    ref = repro.run(source, nproc=4).env
+    got = transformed.run({}, config=BackendConfig(nproc=4)).env
+    ref = repro.run(source, config=BackendConfig(nproc=4)).env
     return transformed, got, ref
 
 
@@ -115,8 +116,10 @@ class TestOptionsIntegration:
             "DO i = 1, 6\n  DO j = 1, 6\n"
             "    x(i, j) = i + j\n  ENDDO\nENDDO\nEND\n"
         )
-        with pytest.warns(DeprecationWarning, match="interchange"):
-            program = repro.compile(source, transform="swap")
+        # the 1.x alias is rejected, naming the canonical spelling
+        with pytest.raises(TransformError, match="'swap'.*'interchange'"):
+            repro.compile(source, transform="swap")
+        program = repro.compile(source, transform="interchange")
         [outer] = [
             s for s in program.tree.units[0].body if isinstance(s, ast.Do)
         ]

@@ -1,13 +1,11 @@
-"""The shared option vocabulary and its deprecation shims."""
+"""The shared option vocabulary and its rejection of unknown spellings."""
 
+import re
 import warnings
 
 import pytest
 
-from repro.kernels.example import P1_SEQUENTIAL
 from repro.lang.errors import TransformError
-from repro.lang.parser import parse_source
-from repro.runtime import Engine
 from repro.transform.options import (
     LAYOUTS,
     TRANSFORMS,
@@ -16,6 +14,12 @@ from repro.transform.options import (
     normalize_transform,
     normalize_variant,
 )
+
+
+def _choices(value: str, canonical: tuple) -> str:
+    """Regex for the rejection message: the bad value, then every choice."""
+    listed = ", ".join(repr(c) for c in canonical)
+    return re.escape(f"{value!r} (choose from {listed})")
 
 
 class TestCanonical:
@@ -46,6 +50,9 @@ class TestCanonical:
 
 
 class TestDeprecatedSpellings:
+    """The 1.x alias spellings are gone: each is rejected by name, and the
+    error lists the canonical choices (the old replacement among them)."""
+
     @pytest.mark.parametrize("legacy, canonical", [
         ("fig10", "general"),
         ("fig11", "optimized"),
@@ -53,8 +60,9 @@ class TestDeprecatedSpellings:
         ("best", "auto"),
     ])
     def test_variant_aliases_warn(self, legacy, canonical):
-        with pytest.warns(DeprecationWarning, match=canonical):
-            assert normalize_variant(legacy) == canonical
+        with pytest.raises(TransformError, match=_choices(legacy, VARIANTS)):
+            normalize_variant(legacy)
+        assert canonical in VARIANTS
 
     @pytest.mark.parametrize("legacy, canonical", [
         ("cm2", "block"),
@@ -62,8 +70,9 @@ class TestDeprecatedSpellings:
         ("decmpp", "cyclic"),
     ])
     def test_layout_aliases_warn(self, legacy, canonical):
-        with pytest.warns(DeprecationWarning, match=canonical):
-            assert normalize_layout(legacy) == canonical
+        with pytest.raises(TransformError, match=_choices(legacy, LAYOUTS)):
+            normalize_layout(legacy)
+        assert canonical in LAYOUTS
 
     @pytest.mark.parametrize("legacy, canonical", [
         ("flattened", "flatten"),
@@ -71,25 +80,9 @@ class TestDeprecatedSpellings:
         ("coalesced", "coalesce"),
     ])
     def test_transform_aliases_warn(self, legacy, canonical):
-        with pytest.warns(DeprecationWarning, match=canonical):
-            assert normalize_transform(legacy) == canonical
-
-    def test_legacy_spelling_reaches_the_same_cache_entry(self):
-        engine = Engine()
-        canonical = engine.compile(P1_SEQUENTIAL, transform="flatten",
-                                   variant="done", assume_min_trips=True)
-        with pytest.warns(DeprecationWarning):
-            legacy = engine.compile(P1_SEQUENTIAL, transform="flatten",
-                                    variant="fig12", assume_min_trips=True)
-        assert legacy is canonical
-        assert engine.stats.hits == 1
-
-    def test_flatten_program_accepts_legacy_variant(self):
-        from repro.transform import flatten_program
-
-        tree = parse_source(P1_SEQUENTIAL)
-        with pytest.warns(DeprecationWarning):
-            flatten_program(tree, variant="fig12", assume_min_trips=True)
+        with pytest.raises(TransformError, match=_choices(legacy, TRANSFORMS)):
+            normalize_transform(legacy)
+        assert canonical in TRANSFORMS
 
 
 class TestRejections:

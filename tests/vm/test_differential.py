@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import run_simd_program
+import repro
+from repro import BackendConfig
 from repro.kernels import example as ex
 from repro.kernels.nbforce import NBFORCE_FLAT
 from repro.lang import ast, parse_source
@@ -24,8 +25,11 @@ from repro.vm import run_bytecode
 
 
 def both(tree, nproc, bindings, externals=None):
-    env_i, c_i = run_simd_program(
-        tree, nproc, bindings=dict(bindings), externals=externals
+    env_i, c_i = repro.run(
+        tree,
+        dict(bindings),
+        backend="interpreter",
+        config=BackendConfig(nproc=nproc, externals=externals),
     )
     env_v, c_v = run_bytecode(
         tree, nproc, bindings=dict(bindings), externals=externals
