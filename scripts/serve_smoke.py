@@ -15,7 +15,11 @@ does.  The script proves the service's cold→warm story end to end:
    the same compile: it must be served from disk (``cache == "disk"``,
    ``engine.disk_hits >= 1`` in ``/metrics``) — the transform pipeline
    never ran in this process;
-8. SIGTERM again, assert clean shutdown again.
+8. SIGTERM again, assert clean shutdown again;
+9. boot a third server on the same store and ``POST /v1/lint`` the same
+   kernel first: a disk hit (``cache == "disk"``) whose ``summary`` and
+   ``diagnostics`` equal an in-process fresh compile's
+   ``diagnostics()`` — a loaded artifact lints exactly like a fresh one.
 
 Exit status is nonzero on the first failed assertion, with the server's
 output echoed for debugging.
@@ -44,6 +48,14 @@ EXAMPLE_RUN = {
     "nproc": 4,
     "bindings": {"n": 4},
 }
+
+
+def _fresh_lint(source: str, transform: str) -> tuple[str, list]:
+    """(summary, findings) of an in-process cold compile's diagnostics."""
+    from repro import Engine
+
+    report = Engine().compile(source, transform=transform).diagnostics()
+    return report.summary(), report.to_dict()["findings"]
 
 
 def _read_kernels() -> tuple[str, str]:
@@ -181,6 +193,27 @@ def main() -> int:
             f"fresh process recompiled instead of loading: {metrics['engine']}"
         )
         print(f"  compile: {disk['cache']} (engine: {metrics['engine']})", flush=True)
+    except BaseException:
+        server.kill()
+        print("".join(server.lines), file=sys.stderr)
+        raise
+    server.stop()
+    print("  clean shutdown ok", flush=True)
+
+    print("phase 3: fresh server, same store (lint from disk)", flush=True)
+    summary, findings = _fresh_lint(nbforce, compile_body["transform"])
+    server = Server(store_dir)
+    try:
+        lint = api(server.port, "POST", "/v1/lint", compile_body)
+        assert lint["cache"] == "disk", (
+            f"expected /v1/lint to load from the store, got {lint['cache']}"
+        )
+        assert lint["summary"] == summary, (lint["summary"], summary)
+        assert lint["diagnostics"] == findings, (
+            f"disk-hit lint differs from a fresh compile:\n"
+            f"{lint['diagnostics']}\nvs\n{findings}"
+        )
+        print(f"  lint: {lint['cache']} ({lint['summary']})", flush=True)
     except BaseException:
         server.kill()
         print("".join(server.lines), file=sys.stderr)

@@ -145,6 +145,11 @@ class DependenceGraph:
     call_touched: frozenset[str] = frozenset()
     #: True when a GOTO degraded every subscript to unknown.
     irregular: bool = False
+    #: Names assigned in the nest body, and names live on entry to it.
+    assigned: frozenset[str] = frozenset()
+    live_in: frozenset[str] = frozenset()
+    #: Scalars with an ``s = s + e`` / ``s = s * e`` update in the body.
+    accumulators: frozenset[str] = frozenset()
 
     def is_parallel(self, level: int = 1) -> bool:
         """No non-ignorable dependence is carried by loop ``level``."""
@@ -318,20 +323,18 @@ class _Collector:
         self.top_index = 0
         self._fresh = 0
         self._region_counter = 0
-        self.irregular = any(
-            isinstance(node, ast.Goto)
-            for node in ast.walk_body([loop])
-        )
-        # Classify names: anything ever subscripted is an array.
-        self.arrays: set[str] = {
-            node.name
-            for node in ast.walk_body([loop])
-            if isinstance(node, ast.ArrayRef)
-        }
-        # Scalars assigned anywhere in the nest get scalar accesses.
+        # One walk classifies names: anything ever subscripted is an
+        # array; scalars assigned anywhere in the nest get scalar
+        # accesses; a GOTO anywhere makes the nest irregular.
+        self.irregular = False
+        self.arrays: set[str] = set()
         self.tracked: set[str] = set()
-        for node in ast.walk_body([loop]):
-            if isinstance(node, ast.Assign) and isinstance(
+        for node in ast.walk(loop):
+            if isinstance(node, ast.ArrayRef):
+                self.arrays.add(node.name)
+            elif isinstance(node, ast.Goto):
+                self.irregular = True
+            elif isinstance(node, ast.Assign) and isinstance(
                 node.target, ast.Var
             ):
                 self.tracked.add(node.target.name)
@@ -422,11 +425,10 @@ class _Collector:
 
     # -- induction recognition ----------------------------------------------
 
-    def _find_inductions(
-        self, body: list[ast.Stmt]
-    ) -> dict[str, tuple[int, ast.Assign]]:
-        """Scalars with exactly one write in ``body``, a top-level
-        ``k = k ± c`` with constant ``c``; map name -> (delta, stmt)."""
+    @staticmethod
+    def _write_counts(body: list[ast.Stmt]) -> dict[str, int]:
+        """Scalar writes in ``body`` by name: 1 per assignment, 2 per
+        loop header or CALL argument (neither can be an induction)."""
         writes: dict[str, int] = {}
         for node in ast.walk_body(body):
             if isinstance(node, ast.Assign) and isinstance(
@@ -440,6 +442,14 @@ class _Collector:
                 for arg in node.args:
                     if isinstance(arg, ast.Var):
                         writes[arg.name] = writes.get(arg.name, 0) + 2
+        return writes
+
+    def _find_inductions(
+        self, body: list[ast.Stmt], writes: dict[str, int]
+    ) -> dict[str, tuple[int, ast.Assign]]:
+        """Scalars with exactly one write in ``body`` (``writes`` is
+        :meth:`_write_counts` of it), a top-level ``k = k ± c`` with
+        constant ``c``; map name -> (delta, stmt)."""
         out: dict[str, tuple[int, ast.Assign]] = {}
         for stmt in body:
             if not (
@@ -523,12 +533,12 @@ class _Collector:
         self.env[loop.var] = AffineExpr.variable(unique)
 
         body = loop.body
+        writes = self._write_counts(body)
         inductions = (
-            {} if self.irregular else self._find_inductions(body)
+            {} if self.irregular else self._find_inductions(body, writes)
         )
         bases: dict[str, AffineExpr] = {}
-        assigned_here = self._assigned_in(body)
-        for name in sorted(assigned_here):
+        for name in sorted(writes):
             if name == loop.var or name not in self.tracked:
                 continue
             info = inductions.get(name)
@@ -560,7 +570,7 @@ class _Collector:
             if (lo_c is not None and hi_c is not None and stride == 1)
             else None
         )
-        for name in sorted(assigned_here):
+        for name in sorted(writes):
             if name == loop.var or name not in self.tracked:
                 continue
             info = inductions.get(name)
@@ -577,22 +587,6 @@ class _Collector:
                 )
             else:
                 self.env[loop.var] = None
-
-    @staticmethod
-    def _assigned_in(body: list[ast.Stmt]) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk_body(body):
-            if isinstance(node, ast.Assign) and isinstance(
-                node.target, ast.Var
-            ):
-                names.add(node.target.name)
-            elif isinstance(node, (ast.Do, ast.Forall)):
-                names.add(node.var)
-            elif isinstance(node, ast.CallStmt):
-                for arg in node.args:
-                    if isinstance(arg, ast.Var):
-                        names.add(arg.name)
-        return names
 
     def _walk_body(
         self, body: list[ast.Stmt], top_level: bool = False
@@ -653,14 +647,15 @@ class _Collector:
         elif isinstance(stmt, (ast.While, ast.DoWhile)):
             seq = self._next_seq()
             self._record_reads(stmt.cond, seq)
-            for name in self._assigned_in(stmt.body):
+            assigned = self._write_counts(stmt.body)
+            for name in assigned:
                 if name in self.tracked:
                     self.env[name] = None
             self._region_counter += 1
             self.regions.append(self._region_counter)
             self._walk_body(stmt.body)
             self.regions.pop()
-            for name in self._assigned_in(stmt.body):
+            for name in assigned:
                 if name in self.tracked:
                     self.env[name] = None
         elif isinstance(stmt, ast.CallStmt):
@@ -707,21 +702,11 @@ def _common_levels(a: Access, b: Access) -> tuple[LevelInfo, ...]:
     return tuple(common)
 
 
-def _is_reduction_stmt(stmt: ast.Assign, name: str) -> bool:
-    value = stmt.value
-    if isinstance(value, ast.BinOp) and value.op in ("+", "*"):
-        for side in (value.left, value.right):
-            if isinstance(side, ast.Var) and side.name == name:
-                return True
-    return False
-
-
-def _scalar_flags(
-    loop: ast.Do | ast.Forall, arrays: set[str]
-) -> tuple[set[str], set[str]]:
-    """(privatizable, reduction) scalar names for the nest root, via
-    the same liveness argument the legacy SIV test used."""
-    body = loop.body
+def _scalar_summary(
+    body: list[ast.Stmt],
+) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """(assigned, live at entry, accumulators) names of a nest body,
+    the inputs of the liveness argument for privatization/reductions."""
     cfg = build_cfg(body)
     liveness = live_variables(cfg)
     assigned: set[str] = set()
@@ -730,20 +715,16 @@ def _scalar_flags(
     live_at_entry: set[str] = set()
     for succ in cfg.nodes[cfg.ENTRY].succs:
         live_at_entry |= liveness.live_in[succ]
-    carried = (assigned & live_at_entry) - arrays - {loop.var}
-    privatizable = (assigned - live_at_entry) - arrays - {loop.var}
-    reductions = {
-        name
-        for name in carried
-        if any(
-            isinstance(node, ast.Assign)
-            and isinstance(node.target, ast.Var)
-            and node.target.name == name
-            and _is_reduction_stmt(node, name)
-            for node in ast.walk_body(body)
-        )
+    accumulators = {
+        node.target.name
+        for node in ast.walk_body(body)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.target, ast.Var)
+        and isinstance(node.value, ast.BinOp)
+        and node.value.op in ("+", "*")
+        and node.target in (node.value.left, node.value.right)
     }
-    return privatizable, reductions
+    return frozenset(assigned), frozenset(live_at_entry), frozenset(accumulators)
 
 
 def build_dependence_graph(
@@ -755,7 +736,10 @@ def build_dependence_graph(
     accesses = collector.accesses
     edges: list[DependenceEdge] = []
 
-    privatizable, reductions = _scalar_flags(loop, collector.arrays)
+    assigned, live_in, accumulators = _scalar_summary(loop.body)
+    scalars = assigned - collector.arrays - {loop.var}
+    privatizable = scalars - live_in
+    reductions = scalars & live_in & accumulators
 
     by_name: dict[str, list[Access]] = {}
     for access in accesses:
@@ -845,4 +829,7 @@ def build_dependence_graph(
         depth=max((len(a.levels) for a in accesses), default=1),
         call_touched=frozenset(collector.call_touched),
         irregular=collector.irregular,
+        assigned=assigned,
+        live_in=live_in,
+        accumulators=accumulators,
     )

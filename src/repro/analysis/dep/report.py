@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...lang import ast
-from ..cfg import build_cfg
-from ..dataflow import live_variables, stmt_defs
 from .graph import Access, DependenceEdge, build_dependence_graph
 
 
@@ -44,15 +42,6 @@ class ParallelismReport:
     unknown: bool = False
     reductions: set[str] = field(default_factory=set)
     reasons: list[str] = field(default_factory=list)
-
-
-def _is_reduction(stmt: ast.Assign, name: str) -> bool:
-    value = stmt.value
-    if isinstance(value, ast.BinOp) and value.op in ("+", "*"):
-        for side in (value.left, value.right):
-            if isinstance(side, ast.Var) and side.name == name:
-                return True
-    return False
 
 
 def _fmt_vector(vector: tuple[str, ...]) -> str:
@@ -132,7 +121,6 @@ def analyze_outer_parallelism(
     notes indirect addressing, for diagnostics).
     """
     var = loop.var
-    body = loop.body
     report = ParallelismReport(parallel=True)
     if isinstance(loop, ast.Forall):
         report.reasons.append(
@@ -148,36 +136,15 @@ def analyze_outer_parallelism(
     array_names = {
         access.name for access in graph.accesses if not access.is_scalar
     }
-    cfg = build_cfg(body)
-    liveness = live_variables(cfg)
-    assigned: set[str] = set()
-    for node in cfg.statements():
-        assigned |= stmt_defs(node.stmt)
-    live_at_entry: set[str] = set()
-    for succ in cfg.nodes[cfg.ENTRY].succs:
-        live_at_entry |= liveness.live_in[succ]
-    call_touched: set[str] = set()
-    for node in ast.walk_body(body):
-        if isinstance(node, ast.CallStmt):
-            for arg in node.args:
-                if isinstance(arg, ast.Var):
-                    call_touched.add(arg.name)
-    carried = (assigned & live_at_entry) - array_names - {var}
+    carried = (graph.assigned & graph.live_in) - array_names - {var}
     for name in sorted(carried):
-        reduction = any(
-            isinstance(node, ast.Assign)
-            and isinstance(node.target, ast.Var)
-            and node.target.name == name
-            and _is_reduction(node, name)
-            for node in ast.walk_body(body)
-        )
-        if reduction:
+        if name in graph.accumulators:
             report.reductions.add(name)
             report.reasons.append(
                 f"scalar '{name}' is a reduction accumulator "
                 "(parallelizable with reduction support)"
             )
-        elif name in call_touched:
+        elif name in graph.call_touched:
             # The only evidence is a CALL argument: without the callee's
             # interface we cannot tell an output argument (private, e.g.
             # the force routine's result) from a genuine carried value.

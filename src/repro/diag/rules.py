@@ -26,23 +26,24 @@ W104    warning   loop serial only due to unknown indirect subscripts —
 ======  ========  ====================================================
 
 Frontend failures surface as ``P001`` (parse) / ``P002`` (semantic)
-error diagnostics rather than exceptions, so ``lint_source`` always
-returns a report.
+error diagnostics rather than exceptions, and a failure of the lint
+itself as a ``P003`` warning, so ``lint_source`` always returns a
+report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ..analysis.abstract import AbstractInterpreter, Uniformity, analyze_routine
-from ..analysis.applicability import evaluate_flattening
+from ..analysis.applicability import FlatteningReport, evaluate_flattening
 from ..analysis.dep import build_dependence_graph
 from ..analysis.dep.explain import outer_loops
 from ..analysis.sideeffects import stmts_have_side_effects
 from ..lang import ast, parse_source
-from ..lang.errors import LexError, ParseError, SemanticError, UNKNOWN_LOCATION
+from ..lang.errors import LexError, MiniFError, ParseError, SemanticError, UNKNOWN_LOCATION
 from ..lang.semantic import check_source
 from .diagnostics import Diagnostic, DiagnosticReport, Severity
 
@@ -58,15 +59,37 @@ __all__ = [
 
 @dataclass
 class LintContext:
-    """What a rule sees: one routine plus its abstract interpretation."""
+    """What a rule sees: one routine plus its abstract interpretation.
+
+    One context serves every rule of a :func:`lint_routine` call, so the
+    statement list and each loop's ``evaluate_flattening`` report are
+    computed once per routine, on a tree not mutated meanwhile.
+    """
 
     routine: ast.Routine
     analysis: AbstractInterpreter
+    _statements: list[ast.Stmt] | None = field(default=None, init=False, repr=False)
+    _flattening: dict[int, FlatteningReport | None] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
-    def statements(self) -> Iterator[ast.Stmt]:
-        for node in ast.walk_body(self.routine.body):
-            if isinstance(node, ast.Stmt):
-                yield node
+    def statements(self) -> list[ast.Stmt]:
+        """Every statement of the routine, preorder."""
+        if self._statements is None:
+            nodes = ast.walk_body(self.routine.body)
+            self._statements = [n for n in nodes if isinstance(n, ast.Stmt)]
+        return self._statements
+
+    def flattening(self, stmt: ast.Stmt) -> FlatteningReport | None:
+        """``evaluate_flattening(stmt)``, or None when it raised."""
+        key = id(stmt)
+        if key not in self._flattening:
+            try:
+                report = evaluate_flattening(stmt)
+            except Exception:  # applicability itself must never kill the lint
+                report = None
+            self._flattening[key] = report
+        return self._flattening[key]
 
 
 @dataclass(frozen=True)
@@ -321,11 +344,8 @@ def _w101(ctx: LintContext) -> Iterator[Diagnostic]:
         inner = _first_inner_loop(stmt.body)
         if inner is None:
             continue
-        try:
-            report = evaluate_flattening(stmt)
-        except Exception:  # applicability itself must never kill the lint
-            continue
-        if not (report.applicable and report.profitable and report.safe is not False):
+        report = ctx.flattening(stmt)
+        if report is None or not report.recommended:
             continue
         trips = an.do_trip_interval(inner, an.state_before(inner))
         gap = trips.width
@@ -409,15 +429,12 @@ def _w103(ctx: LintContext) -> Iterator[Diagnostic]:
     for stmt in ctx.statements():
         if not isinstance(stmt, (ast.Do, ast.DoWhile, ast.While, ast.Forall)):
             continue
-        if _first_inner_loop(stmt.body) is None:
-            continue
-        try:
-            report = evaluate_flattening(stmt)
-        except Exception:
-            continue
-        if not report.recommended or report.variant != "general":
-            continue
         inner = _first_inner_loop(stmt.body)
+        if inner is None:
+            continue
+        report = ctx.flattening(stmt)
+        if report is None or not report.recommended or report.variant != "general":
+            continue
         trips = an.do_trip_interval(inner, an.state_before(inner))
         side_effects = any(
             stmts_have_side_effects(b) for b in ast.sub_bodies(inner)
@@ -459,13 +476,24 @@ def _w103(ctx: LintContext) -> Iterator[Diagnostic]:
 def lint_routine(
     routine: ast.Routine, codes: set[str] | None = None
 ) -> DiagnosticReport:
-    """Run the registered rules over one routine."""
+    """Run the registered rules over one routine.
+
+    The linter must never make a valid program unlintable: when the
+    analysis or a rule fails (a frontend error, or a ``RecursionError``
+    on a very deep expression), the routine's report is one ``P003``
+    warning naming the routine instead.
+    """
     report = DiagnosticReport()
-    ctx = LintContext(routine, analyze_routine(routine))
-    for code in sorted(RULES):
-        if codes is not None and code not in codes:
-            continue
-        report.extend(RULES[code].check(ctx))
+    try:
+        ctx = LintContext(routine, analyze_routine(routine))
+        for code in sorted(RULES):
+            if codes is None or code in codes:
+                report.extend(RULES[code].check(ctx))
+    except (MiniFError, RecursionError) as error:
+        message = f"lint of routine '{routine.name}' failed: {error}"
+        location = getattr(error, "location", routine.loc)
+        report = DiagnosticReport()
+        report.add(Diagnostic("P003", Severity.WARNING, message, location, routine.name))
     return report
 
 

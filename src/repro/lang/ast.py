@@ -368,10 +368,23 @@ class SourceFile(Node):
 # ---------------------------------------------------------------------------
 
 
+class _FieldTable(dict):
+    """Node class -> names of its fields other than ``loc``, computed
+    from :func:`dataclasses.fields` on a class's first lookup."""
+
+    def __missing__(self, cls: type) -> tuple[str, ...]:
+        names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "loc")
+        self[cls] = names
+        return names
+
+
+_FIELDS = _FieldTable()
+
+
 def children(node: Node):
     """Yield the direct child nodes of ``node`` (fields and list fields)."""
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in _FIELDS[type(node)]:
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, list):
@@ -380,40 +393,53 @@ def children(node: Node):
                     yield item
 
 
+def _walk(stack: list[Node]):
+    """Preorder over ``stack`` (last entry first).  An explicit stack, so
+    a deep tree cannot exhaust the recursion limit; children are pushed
+    inline, not through :func:`children`, as this is the hottest loop of
+    every compile-side pass."""
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        yield node
+        mark = len(stack)
+        for name in _FIELDS[type(node)]:
+            value = getattr(node, name)
+            if isinstance(value, Node):
+                push(value)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, Node):
+                        push(item)
+        if len(stack) - mark > 1:
+            stack[mark:] = stack[mark:][::-1]
+
+
 def walk(node: Node):
     """Yield ``node`` and every descendant, preorder."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    return _walk([node])
 
 
 def walk_body(body: list[Stmt]):
     """Yield every node in a statement list, preorder."""
-    for stmt in body:
-        yield from walk(stmt)
-
-
-def copy_node(node: Node, **overrides):
-    """Shallow-copy a node, overriding the given fields."""
-    return dataclasses.replace(node, **overrides)
+    return _walk(body[::-1])
 
 
 def clone(node):
-    """Deep-copy an AST node (or list of nodes)."""
+    """Deep-copy an AST node (or list of nodes), keeping locations."""
     if isinstance(node, list):
         return [clone(item) for item in node]
     if not isinstance(node, Node):
         return node
     kwargs = {}
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in _FIELDS[type(node)]:
+        value = getattr(node, name)
         if isinstance(value, Node):
-            kwargs[f.name] = clone(value)
+            value = clone(value)
         elif isinstance(value, list):
-            kwargs[f.name] = [clone(item) for item in value]
-        else:
-            kwargs[f.name] = value
-    return type(node)(**kwargs)
+            value = [clone(item) for item in value]
+        kwargs[name] = value
+    return type(node)(loc=node.loc, **kwargs)
 
 
 #: Statement classes that contain nested statement bodies.

@@ -197,26 +197,13 @@ class CompiledProgram:
             A :class:`~repro.diag.DiagnosticReport`.
         """
         if self._diagnostics is None:
-            from ..diag import Diagnostic, DiagnosticReport, Severity, lint_routine
+            from ..diag import DiagnosticReport, lint_routine
             from ..vm.verify import verify_code
 
             start = time.perf_counter()
             report = DiagnosticReport()
             for unit in self._tree.units:
-                try:
-                    report.extend(lint_routine(unit))
-                except MiniFError as error:
-                    # The linter must never make a valid program
-                    # uncompilable; surface its own failure instead.
-                    report.add(
-                        Diagnostic(
-                            "P003",
-                            Severity.WARNING,
-                            f"lint of routine '{unit.name}' failed: {error}",
-                            location=error.location,
-                            routine=unit.name,
-                        )
-                    )
+                report.extend(lint_routine(unit))
             code = self.bytecode()
             if code is not None:
                 report.extend(verify_code(code))

@@ -224,7 +224,7 @@ class ServeApp:
             "key": digest,
             "cache": tier,
             "summary": report.summary(),
-            "diagnostics": report.to_dict().get("diagnostics", []),
+            "diagnostics": report.to_dict()["findings"],
         }
 
     def handle_healthz(self) -> tuple[int, dict]:

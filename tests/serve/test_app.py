@@ -9,6 +9,7 @@ and engine are all exercised exactly as ``repro serve`` runs them.
 import asyncio
 import json
 
+from repro import Engine
 from repro.kernels.example import P1_SEQUENTIAL, P3_MIMD
 from repro.kernels.nbforce import NBFORCE_SEQUENTIAL
 from repro.serve import ServeApp, ServeConfig, TenantPolicy
@@ -149,6 +150,37 @@ class TestEndpoints:
             assert status == 200
             assert "summary" in out
             assert isinstance(out["diagnostics"], list)
+
+        with_app(body)
+
+    def test_lint_findings_match_in_process_report(self):
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/lint",
+                {"source": NBFORCE_SEQUENTIAL, "transform": "flatten"},
+            )
+            assert status == 200
+            report = Engine().compile(
+                NBFORCE_SEQUENTIAL, transform="flatten"
+            ).diagnostics()
+            assert out["summary"] == report.summary()
+            assert out["diagnostics"] == report.to_dict()["findings"]
+            assert out["diagnostics"]
+
+        with_app(body)
+
+    def test_lint_crash_is_a_p003_finding(self):
+        deep = "program deep\ninteger x\nx = " + " + ".join(["1"] * 600) + "\nend\n"
+
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/lint", {"source": deep}
+            )
+            assert status == 200
+            codes = [d["code"] for d in out["diagnostics"]]
+            assert codes.count("P003") == 1
+            [p003] = [d for d in out["diagnostics"] if d["code"] == "P003"]
+            assert p003["routine"] == "deep"
 
         with_app(body)
 
