@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...lang import ast
-from .graph import Access, DependenceEdge, build_dependence_graph
+from .graph import Access, DependenceEdge, DependenceGraph, build_dependence_graph
 
 
 @dataclass
@@ -36,12 +36,15 @@ class ParallelismReport:
             may still be parallel if the user asserts it.
         reductions: Scalars recognized as reduction accumulators.
         reasons: Human-readable findings.
+        graph: The dependence graph the verdict was read from (None
+            for a FORALL, parallel by assertion).
     """
 
     parallel: bool
     unknown: bool = False
     reductions: set[str] = field(default_factory=set)
     reasons: list[str] = field(default_factory=list)
+    graph: DependenceGraph | None = field(default=None, repr=False, compare=False)
 
 
 def _fmt_vector(vector: tuple[str, ...]) -> str:
@@ -129,7 +132,7 @@ def analyze_outer_parallelism(
         return report
 
     # --- array dependence: distance/direction-vector framework -------------
-    graph = build_dependence_graph(loop)
+    graph = report.graph = build_dependence_graph(loop)
     _array_findings(graph, var, report)
 
     # --- scalar dependence: liveness-based privatization argument ----------

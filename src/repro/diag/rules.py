@@ -39,7 +39,7 @@ from typing import Callable, Iterator
 
 from ..analysis.abstract import AbstractInterpreter, Uniformity, analyze_routine
 from ..analysis.applicability import FlatteningReport, evaluate_flattening
-from ..analysis.dep import build_dependence_graph
+from ..analysis.dep import DependenceGraph, build_dependence_graph
 from ..analysis.dep.explain import outer_loops
 from ..analysis.sideeffects import stmts_have_side_effects
 from ..lang import ast, parse_source
@@ -62,14 +62,18 @@ class LintContext:
     """What a rule sees: one routine plus its abstract interpretation.
 
     One context serves every rule of a :func:`lint_routine` call, so the
-    statement list and each loop's ``evaluate_flattening`` report are
-    computed once per routine, on a tree not mutated meanwhile.
+    statement list, each loop's ``evaluate_flattening`` report and each
+    loop's dependence graph are computed once per routine, on a tree
+    not mutated meanwhile.
     """
 
     routine: ast.Routine
     analysis: AbstractInterpreter
     _statements: list[ast.Stmt] | None = field(default=None, init=False, repr=False)
     _flattening: dict[int, FlatteningReport | None] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _graphs: dict[int, DependenceGraph | None] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -90,6 +94,28 @@ class LintContext:
                 report = None
             self._flattening[key] = report
         return self._flattening[key]
+
+    def graph(self, stmt: ast.Stmt) -> DependenceGraph | None:
+        """``build_dependence_graph(stmt)``, or None when it raised.
+
+        A loop that W101/W103 evaluate for flattening anyway (it has an
+        inner loop) takes the graph its parallelism report was read
+        from, so rules running before them do not build a second one.
+        """
+        key = id(stmt)
+        if key not in self._graphs:
+            graph = None
+            if _first_inner_loop(stmt.body) is not None:
+                report = self.flattening(stmt)
+                if report is not None and report.parallelism is not None:
+                    graph = report.parallelism.graph
+            if graph is None:
+                try:
+                    graph = build_dependence_graph(stmt)
+                except Exception:  # the graph must never kill the lint
+                    pass
+            self._graphs[key] = graph
+        return self._graphs[key]
 
 
 @dataclass(frozen=True)
@@ -248,9 +274,8 @@ def _r003(ctx: LintContext) -> Iterator[Diagnostic]:
     for stmt in ctx.statements():
         if not isinstance(stmt, ast.Forall):
             continue
-        try:
-            graph = build_dependence_graph(stmt)
-        except Exception:  # the graph must never kill the lint
+        graph = ctx.graph(stmt)
+        if graph is None:
             continue
         for edge in graph.carried_edges(1):
             if edge.scalar or edge.unknown or edge.ignorable:
@@ -288,9 +313,8 @@ def _w104(ctx: LintContext) -> Iterator[Diagnostic]:
     for stmt in outer_loops(ctx.routine.body):
         if not isinstance(stmt, ast.Do):
             continue
-        try:
-            graph = build_dependence_graph(stmt)
-        except Exception:
+        graph = ctx.graph(stmt)
+        if graph is None:
             continue
         if graph.irregular or graph.call_touched:
             continue

@@ -1,40 +1,13 @@
 """The differential oracle: all legal variants must agree.
 
-For each generated program the oracle runs a matrix of
-transform x backend legs and compares every leg's observable final
-state against the sequential reference:
-
-====================  ===========================  ====================
-leg                   backends                     legality
-====================  ===========================  ====================
-none                  scalar (reference)           always
-none                  vm + interpreter (lockstep)  always
-none                  fused vm + unfused vm        always
-none                  mimd (P private procs)       always
-none                  vm / scalar interrupted at   always
-                      a random step + resumed
-                      from checkpoint
-none                  pmimd killed between         ``pmimd_chaos``
-                      checkpoints + replayed
-flatten general       scalar (F77 form)            always
-flatten general       vm + interpreter             always
-flatten optimized     vm + interpreter             checker accepts, or
-                                                   condition 2 holds on
-                                                   the data
-flatten done          vm + interpreter             same as optimized +
-                                                   derivable done test
-flatten auto          vm + interpreter             always (falls back)
-flatten auto          fused vm + unfused vm        always
-coalesce              scalar                       rectangular nests
-fission               scalar (F77 form)            dependence SCCs split
-fission               vm + interpreter             dependence SCCs split
-interchange           scalar (F77 form)            perfect rectangular
-                                                   2-nest, no ``(<, >)``
-                                                   direction vector
-interchange           vm + interpreter             same
-simdize (Sec. 3)      vm + interpreter             partitionable outer
-spmd (Fig. 15)        vm + interpreter             partitionable outer
-====================  ===========================  ====================
+For each generated program the oracle runs every row of :data:`LEGS`,
+in order, and compares each leg's observable final state against the
+sequential reference.  A row is one transform x backend leg: its
+compile options, the gate that decides whether it applies, how it runs,
+the agreement twin it must match exactly, and an optional post-check.
+One executor (:meth:`DifferentialOracle._run_leg`) compiles, runs,
+compares and classifies every row alike; a new leg is one new row.
+DESIGN.md §8 tabulates the rows.
 
 Lockstep legs run with ``verify=True``, so the VM and the tree-walking
 interpreter are *also* checked against each other on env and exact
@@ -63,20 +36,24 @@ both directions: a runtime :class:`DivergenceFault` /
 a program every leg runs clean, are ``checker-gap`` divergences.
 
 Verdict kinds: ``env-divergence`` (legal leg disagrees with the
-reference), ``backend-disagreement`` (vm vs interpreter),
-``fault`` (a legal leg crashed), ``checker-gap``, ``verifier``
-(compiler-emitted bytecode failed verification), ``invariant``
-(translation validation failed: flag monotonicity, Eq. 1 per-lane
-work, total-work conservation).
+reference), ``backend-disagreement`` (a leg disagrees with its twin,
+e.g. vm vs interpreter), ``fault`` (a legal leg crashed),
+``checker-gap``, ``verifier`` (compiler-emitted bytecode failed
+verification), ``invariant`` (translation validation failed: flag
+monotonicity, Eq. 1 per-lane work, total-work conservation).
 """
 
 from __future__ import annotations
 
+import random
+import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..analysis import evaluate_flattening
+from ..analysis.applicability import FlatteningReport
 from ..diag import lint_source
 from ..lang import ast
 from ..lang.errors import MiniFError, TransformError
@@ -114,7 +91,7 @@ class Divergence:
 
     Attributes:
         kind: ``env-divergence`` / ``backend-disagreement`` / ``fault``
-            / ``checker-gap`` / ``invariant``.
+            / ``checker-gap`` / ``verifier`` / ``invariant``.
         config: The leg it occurred on (e.g. ``"flatten/general/simd"``).
         detail: Human-readable description of the disagreement.
         crash_dump: Postmortem from :mod:`repro.reliability` when the
@@ -154,6 +131,155 @@ class ProgramVerdict:
     @property
     def ok(self) -> bool:
         return not self.divergences
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One row of the differential matrix.
+
+    Attributes:
+        label: The leg's name in verdicts, campaign stats and corpora.
+        compile: ``Engine.compile`` keyword arguments, or a function of
+            ``(prog, nproc)`` returning them.
+        run: How the compiled program runs: ``lockstep`` (vm +
+            interpreter with ``verify=True``), ``scalar``, ``mimd``
+            (P private processors), ``hooked`` (interpreter under a
+            :class:`ValidatingHook`), ``pmimd`` / ``pmimd-chaos`` /
+            ``pmimd-ckpt`` (the process pool: plain, under seeded
+            worker faults with a pmimd->mimd fallback chain, or with
+            shard 0 killed between checkpoint boundaries), ``fused``
+            (the fused VM, judged against its twin instead of the
+            reference, faults included) or ``resume`` (the twin's
+            backend interrupted at a seeded step and resumed from its
+            last checkpoint).
+        gate: When the row applies: ``always``; ``pmimd`` /
+            ``pmimd_chaos`` (the oracle flag of that name is set);
+            ``partitioned`` (the generator *and* the dependence test
+            call the outer loop partitionable — these rows compare
+            only the partition-invariant scalars); ``min_trips``
+            (compile as given, else with ``assume_min_trips`` when the
+            data allows it, else skip).
+        twin: A plain run the leg's result must match exactly on env
+            and counters (:func:`check_agreement`): ``mimd``, ``vm``,
+            ``scalar`` or ``vm-unfused``.  A twin that faults leaves
+            the leg ``skipped`` (the twin's own leg reports the fault),
+            except the unfused VM, whose faults the fused run must
+            reproduce.
+        post: Check on the ``hooked`` run's hook after a clean run:
+            ``flag`` (latched-flag monotonicity) or ``eq1`` (that, plus
+            the Eq. 1 per-lane split of the block layout's work).
+    """
+
+    label: str
+    compile: dict | Callable[[GeneratedProgram, int], dict]
+    run: str = "lockstep"
+    gate: str = "always"
+    twin: str | None = None
+    post: str | None = None
+
+
+def _spmd(variant: str, layout: str):
+    def kwargs(prog: GeneratedProgram, nproc: int) -> dict:
+        return {
+            "transform": "spmd",
+            "variant": variant,
+            "layout": layout,
+            "width": nproc,
+            "assume_min_trips": variant != "general" and prog.min_trips_ok,
+        }
+
+    return kwargs
+
+
+_FLAT = {"transform": "flatten", "simd": True}
+_GENERAL = dict(_FLAT, variant="general")
+
+#: The differential matrix, in execution order.  The order is part of
+#: the verdict: ``verdict.divergences[0]`` is what the reducer shrinks
+#: and the corpus stores.
+LEGS: tuple[Leg, ...] = (
+    Leg("none/simd", {}),
+    Leg("none/mimd", {}, "mimd"),
+    Leg("none/vm-ckpt", {}, "resume", twin="vm"),
+    Leg("none/interp-ckpt", {}, "resume", twin="scalar"),
+    Leg("none/pmimd", {}, "pmimd", "pmimd", twin="mimd"),
+    Leg("none/pmimd-chaos", {}, "pmimd-chaos", "pmimd_chaos", twin="mimd"),
+    Leg("none/pmimd-ckpt", {}, "pmimd-ckpt", "pmimd_chaos", twin="mimd"),
+    Leg("none/vm-fuse", {}, "fused", twin="vm-unfused"),
+    Leg("flatten/auto/vm-fuse", _FLAT, "fused", twin="vm-unfused"),
+    Leg(
+        "flatten/general/f77",
+        {"transform": "flatten", "variant": "general", "simd": False},
+        "scalar",
+    ),
+    Leg("flatten/general/simd", _GENERAL),
+    Leg("flatten/general/hooked", _GENERAL, "hooked", post="flag"),
+    Leg("flatten/optimized/simd", dict(_FLAT, variant="optimized"), gate="min_trips"),
+    Leg("flatten/done/simd", dict(_FLAT, variant="done"), gate="min_trips"),
+    Leg(
+        "flatten/auto/simd",
+        lambda prog, nproc: dict(
+            _FLAT, variant="auto", assume_min_trips=prog.min_trips_ok
+        ),
+    ),
+    Leg("coalesce/f77", {"transform": "coalesce"}, "scalar"),
+    Leg("none/fission/f77", {"transform": "fission"}, "scalar"),
+    Leg("none/fission", {"transform": "fission"}),
+    Leg("none/interchange/f77", {"transform": "interchange"}, "scalar"),
+    Leg("none/interchange", {"transform": "interchange"}),
+    Leg(
+        "simdize/block",
+        lambda prog, nproc: {
+            "transform": "simdize",
+            "width": nproc,
+            "layout": "block",
+        },
+        gate="partitioned",
+    ),
+    Leg("spmd/general/block", _spmd("general", "block"), gate="partitioned"),
+    Leg("spmd/auto/cyclic", _spmd("auto", "cyclic"), gate="partitioned"),
+    Leg(
+        "spmd/general/block/hooked",
+        _spmd("general", "block"),
+        "hooked",
+        "partitioned",
+        post="eq1",
+    ),
+)
+
+#: Runs on the sequential execution level: no bytecode to verify.
+_SCALAR_RUNS = ("scalar", "mimd", "pmimd", "pmimd-chaos", "pmimd-ckpt")
+
+
+class _Settled(Exception):
+    """Ends a leg early with a non-failing outcome."""
+
+    def __init__(self, status: str, detail: str):
+        super().__init__(detail)
+        self.status = status
+        self.detail = detail
+
+
+@dataclass
+class _Context:
+    """One program's pass over :data:`LEGS`."""
+
+    prog: GeneratedProgram
+    verdict: ProgramVerdict
+    #: The sequential reference's final environment.
+    ref_env: dict | None = None
+    #: The no-assumption applicability report (gates partitioned rows).
+    report: FlatteningReport | None = None
+    #: Successful plain runs, by ``(program, backend)``: a twin shared
+    #: by several rows runs once.
+    runs: dict = field(default_factory=dict)
+    #: Interrupt points of the ``resume`` rows, drawn in row order.
+    rng: random.Random = field(init=False)
+
+    def __post_init__(self):
+        self.rng = random.Random(
+            (self.prog.seed << 16) ^ (self.prog.index * 0x9E37) ^ 0xC4C7
+        )
 
 
 def _outer_flag_name(tree: ast.SourceFile) -> str | None:
@@ -197,24 +323,23 @@ def _copy_bindings(bindings: dict) -> dict:
 class DifferentialOracle:
     """Runs the variant x backend matrix for generated programs.
 
+    Each oracle compiles through its own fresh :class:`Engine` (a fuzz
+    session must never share a cache with a mutated transform under
+    mutation testing); the reducer reuses it as :attr:`engine`.
+
     Args:
         nproc: Lockstep PE count for the SIMD/SPMD/MIMD legs.
-        engine: Compile cache to use (fresh when omitted — the fuzz
-            session must never share a cache with a mutated transform
-            under mutation testing).
         pmimd: Also run the process-parallel pmimd backend on every
             program and demand env + counter agreement with the
             in-process MIMD simulator (opt-in: forks worker processes
             per program).
         pmimd_chaos: Additionally run a pmimd leg under a seeded
             :class:`FaultPlan` injecting worker kill/hang/slow faults
-            at ``chaos_rate``, with a pmimd->mimd fallback chain; the
-            supervised (or degraded) run must still match the
-            reference, and every failed attempt must carry a
-            taxonomy classification.  Implies nothing about ``pmimd``
-            — enable both for the full matrix.
-        chaos_rate: Per-shard worker fault probability for the chaos
-            leg.
+            at :attr:`CHAOS_RATE`, with a pmimd->mimd fallback chain;
+            the supervised (or degraded) run must still match the
+            reference, and every failed attempt must carry a taxonomy
+            classification.  Implies nothing about ``pmimd`` — enable
+            both for the full matrix.
     """
 
     #: Supervision tuned for fuzzing: fast wedge detection and small
@@ -226,33 +351,39 @@ class DifferentialOracle:
         straggler_floor_seconds=0.2,
     )
 
+    #: Per-shard worker fault probability of the ``pmimd-chaos`` leg.
+    CHAOS_RATE = 0.1
+
     def __init__(
         self,
         nproc: int = 4,
-        engine: Engine | None = None,
         *,
         pmimd: bool = False,
         pmimd_chaos: bool = False,
-        chaos_rate: float = 0.1,
     ):
         if nproc < 2:
             raise ValueError(f"the oracle needs nproc >= 2, got {nproc}")
         self.nproc = nproc
-        self.engine = engine if engine is not None else Engine(cache_size=512)
+        self.engine = Engine(cache_size=512)
         self.pmimd = pmimd
         self.pmimd_chaos = pmimd_chaos
-        self.chaos_rate = chaos_rate
-        # Code objects already verified this session — the engine caches
-        # compiles, so the same object comes back on many legs.
-        self._verified: set[int] = set()
+        # Code objects already verified this session, by id — the engine
+        # caches compiles, so the same object comes back on many legs.
+        # The value is compared by identity: an evicted, freed code
+        # object's id can be reused by a different one.
+        self._verified: weakref.WeakValueDictionary = (
+            weakref.WeakValueDictionary()
+        )
 
     # -- public API ----------------------------------------------------------
 
     def check(self, prog: GeneratedProgram) -> ProgramVerdict:
         """Run the full matrix for one program."""
         verdict = ProgramVerdict(prog)
+        ctx = _Context(prog, verdict)
         try:
-            ref_env = self._reference(prog)
+            program = self.engine.compile(prog.source)
+            ctx.ref_env = self._plain(program, ctx, "scalar").env
         except Exception as error:
             verdict.divergences.append(
                 Divergence(
@@ -263,34 +394,16 @@ class DifferentialOracle:
                 )
             )
             return verdict
-        conserved = check_work_conservation(ref_env, prog.total_work)
+        conserved = check_work_conservation(ctx.ref_env, prog.total_work)
         if conserved is not None:
             verdict.divergences.append(
                 Divergence("invariant", "none/scalar", conserved)
             )
             return verdict
 
-        report = self._consult_applicability(prog, verdict)
-        self._untransformed_legs(prog, ref_env, verdict)
-        self._checkpoint_legs(prog, ref_env, verdict)
-        if self.pmimd or self.pmimd_chaos:
-            self._pmimd_legs(prog, ref_env, verdict)
-        self._fused_legs(prog, verdict)
-        self._flatten_legs(prog, ref_env, verdict)
-        self._coalesce_leg(prog, ref_env, verdict)
-        self._dep_legs(prog, ref_env, verdict)
-        if prog.partitionable and report is not None and report.safe is True:
-            self._partitioned_legs(prog, ref_env, verdict)
-        else:
-            verdict.legs.append(
-                LegOutcome(
-                    "spmd+simdize",
-                    "skipped",
-                    "outer loop not partitionable "
-                    f"(generator={prog.partitionable}, "
-                    f"checker={None if report is None else report.safe})",
-                )
-            )
+        ctx.report = self._consult_applicability(prog, verdict)
+        for leg in LEGS:
+            self._run_leg(leg, ctx)
         self._lint_cross_check(prog, verdict)
         return verdict
 
@@ -306,13 +419,7 @@ class DifferentialOracle:
                 return divergence
         return None
 
-    # -- reference and comparison --------------------------------------------
-
-    def _reference(self, prog: GeneratedProgram) -> dict:
-        result = self.engine.run(
-            prog.source, _copy_bindings(prog.bindings), backend="scalar"
-        )
-        return result.env
+    # -- reference comparison ------------------------------------------------
 
     def _compare(
         self,
@@ -483,9 +590,9 @@ class DifferentialOracle:
     ) -> None:
         """Bytecode verifier leg: compiler-emitted code must verify."""
         code = program.bytecode()
-        if code is None or id(code) in self._verified:
+        if code is None or self._verified.get(id(code)) is code:
             return
-        self._verified.add(id(code))
+        self._verified[id(code)] = code
         for finding in verify_code(code).errors:
             verdict.divergences.append(
                 Divergence(
@@ -495,333 +602,79 @@ class DifferentialOracle:
                 )
             )
 
-    def _latched_flag(self, prog: GeneratedProgram, kwargs: dict) -> str | None:
-        """Continue-flag name of the compiled flattened form (or None)."""
+    # -- the executor --------------------------------------------------------
+
+    def _run_leg(self, leg: Leg, ctx: _Context) -> None:
+        """Gate, compile, run, compare and classify one :data:`LEGS` row."""
+        prog, verdict, label = ctx.prog, ctx.verdict, leg.label
+        kwargs = leg.compile(prog, self.nproc) if callable(leg.compile) else leg.compile
+        if leg.gate in ("pmimd", "pmimd_chaos"):
+            if not getattr(self, leg.gate):
+                return
+        elif leg.gate == "partitioned":
+            report = ctx.report
+            if not (prog.partitionable and report is not None and report.safe is True):
+                skip = LegOutcome(
+                    "spmd+simdize",
+                    "skipped",
+                    "outer loop not partitionable "
+                    f"(generator={prog.partitionable}, "
+                    f"checker={None if report is None else report.safe})",
+                )
+                if skip not in verdict.legs:  # one outcome for all these rows
+                    verdict.legs.append(skip)
+                return
+        elif leg.gate == "min_trips":
+            try:
+                self.engine.compile(prog.source, **kwargs)
+            except TransformError:
+                if not prog.min_trips_ok:
+                    verdict.legs.append(
+                        LegOutcome(
+                            label,
+                            "skipped",
+                            "assume_min_trips would be a false assertion "
+                            "(data has a zero-trip inner loop)",
+                        )
+                    )
+                    return
+                kwargs = dict(kwargs, assume_min_trips=True)
+
         try:
-            return _outer_flag_name(
-                self.engine.compile(prog.source, **kwargs).tree
-            )
-        except Exception:
-            return None
-
-    # -- matrix legs ---------------------------------------------------------
-
-    def _run_and_compare(
-        self,
-        prog: GeneratedProgram,
-        ref_env: dict,
-        verdict: ProgramVerdict,
-        label: str,
-        compile_kwargs: dict,
-        *,
-        partitioned: bool = False,
-        assumed: bool = False,
-        mode: str = "simd",
-        statement_hook=None,
-    ):
-        """Compile + run one leg, record its outcome/divergence.
-
-        Returns the leg's final env (or None when it did not run).
-        """
-        try:
-            program = self.engine.compile(prog.source, **compile_kwargs)
+            program = self.engine.compile(prog.source, **kwargs)
             program.tree  # force any lazy transform error
         except TransformError as error:
             verdict.legs.append(LegOutcome(label, "rejected", str(error)))
-            return None
+            return
         except Exception as error:
-            verdict.divergences.append(
-                Divergence(
-                    "fault",
-                    label,
-                    f"compiler crashed: {type(error).__name__}: {error}",
-                    crash_dump=_dump(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-            return None
-        if mode not in ("scalar", "mimd"):
+            detail = f"compiler crashed: {type(error).__name__}: {error}"
+            self._fault(verdict, label, detail, error)
+            return
+        if leg.run not in _SCALAR_RUNS:
             self._verify_bytecode(program, label, verdict)
-        bindings = _copy_bindings(prog.bindings)
-        try:
-            if mode == "scalar":
-                result = program.run(bindings, backend="scalar")
-            elif mode == "mimd":
-                result = program.run(
-                    backend="mimd",
-                    bindings_for=lambda p: _copy_bindings(prog.bindings),
-                    config=BackendConfig(nproc=self.nproc),
-                )
-            elif statement_hook is not None:
-                result = program.run(
-                    bindings,
-                    backend="interpreter",
-                    statement_hook=statement_hook,
-                    config=BackendConfig(nproc=self.nproc),
-                )
-            else:
-                result = program.run(
-                    bindings, verify=True, config=BackendConfig(nproc=self.nproc)
-                )
-        except BackendFault as error:
-            verdict.divergences.append(
-                Divergence(
-                    "backend-disagreement",
-                    label,
-                    str(error),
-                    crash_dump=crash_dump_for(error),
-                )
+        hook = None
+        if leg.post is not None:
+            hook = ValidatingHook(
+                self.nproc,
+                flag=_outer_flag_name(program.tree),
+                marker="w" if leg.post == "eq1" else None,
             )
-            verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-            return None
-        except Exception as error:
-            detail = f"{type(error).__name__}: {error}"
-            if not isinstance(error, MiniFError):
-                detail = f"unwrapped exception escaped the backend: {detail}"
-            if isinstance(error, (DivergenceFault, OutOfBoundsFault)):
-                verdict.runtime_faults.append((label, type(error).__name__))
-            verdict.divergences.append(
-                Divergence("fault", label, detail, crash_dump=_dump(error))
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-            return None
-        envs = result.env if isinstance(result.env, list) else [result.env]
-        for proc, env in enumerate(envs):
-            mismatch = self._compare(prog, ref_env, env, partitioned)
-            if mismatch is None:
-                mismatch = check_work_conservation(env, prog.total_work)
-                kind = "invariant" if mismatch else None
-            else:
-                # A wrong answer the checker accepted without any
-                # caller assertion is a safety-checker bug; under a
-                # (true) assertion or on always-legal variants it is a
-                # transform bug.
-                kind = "env-divergence"
-            if mismatch is not None:
-                prefix = f"proc {proc + 1}: " if len(envs) > 1 else ""
-                verdict.divergences.append(
-                    Divergence(kind, label, prefix + mismatch)
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                return None
-        verdict.legs.append(LegOutcome(label, "ok"))
-        return envs[0]
 
-    def _untransformed_legs(self, prog, ref_env, verdict) -> None:
-        self._run_and_compare(
-            prog, ref_env, verdict, "none/simd", {}, mode="simd"
-        )
-        self._run_and_compare(
-            prog, ref_env, verdict, "none/mimd", {}, mode="mimd"
-        )
-
-    def _checkpoint_legs(self, prog, ref_env, verdict) -> None:
-        """Durable-execution legs: interrupt + resume == uninterrupted.
-
-        For the VM and the scalar interpreter: run the untransformed
-        program to completion, then re-run it under a step budget that
-        kills it at a seeded random interior step while capturing
-        checkpoints every few steps, resume from the last captured
-        checkpoint, and demand that the resumed run's final environment
-        *and* exact operation counters match the uninterrupted run
-        (:func:`check_agreement`) as well as the sequential reference.
-        When the interrupt lands before the first checkpoint boundary,
-        the documented fallback — a clean rerun — must still agree.
-        """
-        import random
-
-        rng = random.Random((prog.seed << 16) ^ (prog.index * 0x9E37) ^ 0xC4C7)
-        for label, backend in (
-            ("none/vm-ckpt", "vm"),
-            ("none/interp-ckpt", "scalar"),
-        ):
-            self._checkpoint_leg(prog, ref_env, verdict, label, backend, rng)
-
-    def _checkpoint_leg(
-        self, prog, ref_env, verdict, label: str, backend: str, rng
-    ) -> None:
+        note = ""
         try:
-            program = self.engine.compile(prog.source)
-            program.tree
-        except Exception:
-            return  # the untransformed legs already reported this
-        nproc = self.nproc if backend == "vm" else 0
-        try:
-            plain = program.run(
-                _copy_bindings(prog.bindings),
-                backend=backend,
-                config=BackendConfig(nproc=nproc),
-            )
-        except Exception:
-            return  # faults of the plain backend belong to none/simd
-        total = int(plain.counters.total_steps)
-        every = rng.randrange(3, 24)
-        cut = rng.randrange(1, total) if total > 1 else 1
-        checkpoints: list = []
-        try:
-            program.run(
-                _copy_bindings(prog.bindings),
-                backend=backend,
-                checkpoint_sink=checkpoints.append,
-                config=BackendConfig(
-                    nproc=nproc, budget=Budget(max_steps=cut), checkpoint_every=every
-                ),
-            )
-        except BudgetExceeded:
-            pass  # the injected interrupt
-        except Exception as error:
-            verdict.divergences.append(
-                Divergence(
-                    "fault",
-                    label,
-                    f"interrupted run died outside the budget taxonomy: "
-                    f"{type(error).__name__}: {error}",
-                    crash_dump=_dump(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-            return
-        try:
-            if checkpoints:
-                resumed = program.run(
-                    _copy_bindings(prog.bindings),
-                    backend="auto",
-                    resume_from=checkpoints[-1],
-                    config=BackendConfig(nproc=nproc),
-                )
-            else:
-                # Interrupt landed before the first boundary: the
-                # documented recovery is a clean rerun.
-                resumed = program.run(
-                    _copy_bindings(prog.bindings),
-                    backend=backend,
-                    config=BackendConfig(nproc=nproc),
-                )
-        except Exception as error:
-            verdict.divergences.append(
-                Divergence(
-                    "fault",
-                    label,
-                    f"resume from step "
-                    f"{checkpoints[-1].step if checkpoints else 0} failed: "
-                    f"{type(error).__name__}: {error}",
-                    crash_dump=_dump(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-            return
-        mismatch = self._compare(prog, ref_env, resumed.env, False)
-        if mismatch is not None:
-            verdict.divergences.append(
-                Divergence(
-                    "env-divergence",
-                    label,
-                    f"resumed at step "
-                    f"{checkpoints[-1].step if checkpoints else 0} "
-                    f"(interrupt at {cut}, every {every}): {mismatch}",
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-            return
-        try:
-            check_agreement(
-                plain.env,
-                plain.counters,
-                resumed.env,
-                resumed.counters,
-                backends=(backend, f"{backend}-resumed"),
-            )
-        except BackendFault as error:
-            verdict.divergences.append(
-                Divergence(
-                    "backend-disagreement",
-                    label,
-                    f"resume is not exact (interrupt at {cut}, "
-                    f"every {every}): {error}",
-                    crash_dump=crash_dump_for(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-            return
-        verdict.legs.append(LegOutcome(label, "ok"))
-
-    def _pmimd_legs(self, prog, ref_env, verdict) -> None:
-        """Process-parallel legs: pmimd must be indistinguishable from mimd.
-
-        The in-process MIMD simulator is the trusted twin: both levels
-        run the *same* per-processor scalar programs, so their final
-        environments and per-processor statement counters must agree
-        exactly (:func:`check_agreement`), and both must match the
-        sequential reference.  The chaos leg re-runs pmimd under a
-        seeded worker-fault plan with a pmimd->mimd fallback chain —
-        recovery (or degradation) must be observationally invisible,
-        and every failed attempt must be classified in the
-        reliability taxonomy.
-        """
-        try:
-            program = self.engine.compile(prog.source)
-            program.tree
-        except Exception:
-            return  # the untransformed legs already reported this
-        bindings_for = lambda p: _copy_bindings(prog.bindings)
-        try:
-            mimd = program.run(
-                backend="mimd",
-                bindings_for=bindings_for,
-                config=BackendConfig(nproc=self.nproc),
-            )
-        except Exception:
-            return  # ditto: none/mimd owns faults of the simulator
-        legs = []
-        if self.pmimd:
-            legs.append(("none/pmimd", None, None, None))
-        if self.pmimd_chaos:
-            plan = FaultPlan(
-                seed=(prog.seed << 20) ^ prog.index,
-                worker_fault_rate=self.chaos_rate,
-                slow_seconds=0.01,
-                hang_seconds=2.0,
-                backends=("pmimd",),
-            )
-            policy = FallbackPolicy(chain=("pmimd", "mimd"), retries=1)
-            legs.append(("none/pmimd-chaos", plan, policy, None))
-            # Durable-execution chaos: shard 0's first attempt is killed
-            # a few statements in, *between* checkpoint boundaries; the
-            # supervisor's replay must resume from the per-processor
-            # store and still be observationally invisible.
-            ckpt_plan = FaultPlan(
-                seed=(prog.seed << 20) ^ prog.index ^ 0x5EED,
-                worker_kill=(0,),
-                kill_after_steps=3 + prog.index % 13,
-                backends=("pmimd",),
-            )
-            legs.append(("none/pmimd-ckpt", ckpt_plan, None, 5))
-        for label, plan, policy, every in legs:
-            config = BackendConfig(
-                nproc=self.nproc,
-                fault_plan=plan,
-                workers=2,
-                supervision=self.FUZZ_SUPERVISION,
-                checkpoint_every=every,
-            )
-            try:
-                result = program.run(
-                    backend="pmimd",
-                    bindings_for=bindings_for,
-                    config=config,
-                    policy=policy,
-                )
-            except MiniFError as error:
-                verdict.divergences.append(
-                    Divergence(
-                        "fault",
-                        label,
-                        f"{type(error).__name__}: {error}",
-                        crash_dump=_dump(error),
-                    )
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-                continue
+            twin = None
+            if leg.twin is not None:
+                try:
+                    twin = self._plain(program, ctx, leg.twin)
+                except MiniFError as error:
+                    if leg.run != "fused":
+                        raise _Settled(
+                            "skipped",
+                            f"{leg.twin} twin failed: {type(error).__name__}: {error}",
+                        )
+                    twin = error
+            run = getattr(self, "_run_" + leg.run.replace("-", "_"))
+            result, note = run(program, ctx, leg, twin, hook)
             for attempt in result.attempts:
                 if not attempt.ok and not attempt.fault_kind:
                     verdict.divergences.append(
@@ -832,326 +685,257 @@ class DifferentialOracle:
                             f"'{attempt.backend}': {attempt.error}",
                         )
                     )
-            mismatch = None
-            for proc, env in enumerate(result.env):
-                mismatch = self._compare(prog, ref_env, env, False)
-                if mismatch is not None:
-                    mismatch = f"proc {proc + 1}: {mismatch}"
-                    break
-            if mismatch is not None:
-                verdict.divergences.append(
-                    Divergence("env-divergence", label, mismatch)
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                continue
-            try:
+            # A fused leg answers to its twin only: the reference
+            # comparison of the same compile is another row's.
+            if leg.run != "fused" and self._diverged(leg, ctx, result, note):
+                return
+            if twin is not None:
                 check_agreement(
-                    mimd.env,
-                    mimd.counters,
+                    twin.env,
+                    twin.counters,
                     result.env,
                     result.counters,
-                    backends=("mimd", result.backend),
+                    backends=(leg.twin, label),
                 )
-            except BackendFault as error:
-                verdict.divergences.append(
-                    Divergence(
-                        "backend-disagreement",
-                        label,
-                        str(error),
-                        crash_dump=crash_dump_for(error),
-                    )
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                continue
-            verdict.legs.append(LegOutcome(label, "ok"))
-
-    def _fused_legs(self, prog, verdict) -> None:
-        """Superinstruction legs: fusion must be observationally invisible.
-
-        For the untransformed and the flattened F90simd forms: the
-        fused :class:`~repro.vm.isa.CodeObject` must pass the bytecode
-        verifier, and a fused VM run must agree with an unfused VM run
-        on the final environment, the step totals, *and* the event
-        breakdown (fused dispatch batches its accounting, so this is
-        the leg that keeps the batching honest).  A program that
-        legitimately faults must fault identically in both modes.
-        """
-        for label, kwargs in (
-            ("none/vm-fuse", {}),
-            ("flatten/auto/vm-fuse", {"transform": "flatten", "simd": True}),
-        ):
-            try:
-                program = self.engine.compile(prog.source, **kwargs)
-                program.tree  # force any lazy transform error
-                code = program.bytecode()
-            except TransformError as error:
-                verdict.legs.append(LegOutcome(label, "rejected", str(error)))
-                continue
-            except Exception as error:
-                verdict.divergences.append(
-                    Divergence(
-                        "fault",
-                        label,
-                        f"compiler crashed: {type(error).__name__}: {error}",
-                        crash_dump=_dump(error),
-                    )
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-                continue
-            if code is None:
-                verdict.legs.append(LegOutcome(label, "skipped", "no bytecode"))
-                continue
-            for finding in verify_code(fuse_code(code)).errors:
-                verdict.divergences.append(
-                    Divergence(
-                        "verifier",
-                        label,
-                        f"fused code: [{finding.code}] {finding.message}",
-                    )
-                )
-
-            outcomes = []
-            for fuse in (True, False):
-                try:
-                    result = program.run(
-                        _copy_bindings(prog.bindings),
-                        backend="vm",
-                        config=BackendConfig(nproc=self.nproc, vm_fuse=fuse),
-                    )
-                    outcomes.append(("ok", result))
-                except MiniFError as error:
-                    outcomes.append(("fault", error))
-                except Exception as error:
-                    verdict.divergences.append(
-                        Divergence(
-                            "fault",
-                            label,
-                            "unwrapped exception escaped the VM "
-                            f"(fuse={fuse}): {type(error).__name__}: {error}",
-                            crash_dump=_dump(error),
-                        )
-                    )
-                    outcomes.append(("fault", error))
-            (fused_kind, fused_out), (plain_kind, plain_out) = outcomes
-            if fused_kind != plain_kind:
-                detail = (
-                    f"fused VM {fused_kind}, unfused VM {plain_kind} "
-                    f"({type(fused_out).__name__} vs {type(plain_out).__name__})"
-                )
-                verdict.divergences.append(
-                    Divergence("backend-disagreement", label, detail)
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                continue
-            if fused_kind == "fault":
-                if type(fused_out) is not type(plain_out):
-                    verdict.divergences.append(
-                        Divergence(
-                            "backend-disagreement",
-                            label,
-                            "fused and unfused VM faulted differently: "
-                            f"{type(fused_out).__name__} vs "
-                            f"{type(plain_out).__name__}",
-                        )
-                    )
-                    verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                else:
-                    verdict.legs.append(
-                        LegOutcome(label, "ok", "both modes faulted alike")
-                    )
-                continue
-            try:
-                check_agreement(
-                    fused_out.env,
-                    fused_out.counters,
-                    plain_out.env,
-                    plain_out.counters,
-                    backends=("vm+fuse", "vm-nofuse"),
-                )
-            except BackendFault as error:
-                verdict.divergences.append(
-                    Divergence(
-                        "backend-disagreement",
-                        label,
-                        str(error),
-                        crash_dump=crash_dump_for(error),
-                    )
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                continue
-            verdict.legs.append(LegOutcome(label, "ok"))
-
-    def _flatten_legs(self, prog, ref_env, verdict) -> None:
-        base = {"transform": "flatten", "simd": True}
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "flatten/general/f77",
-            {"transform": "flatten", "variant": "general", "simd": False},
-            mode="scalar",
-        )
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "flatten/general/simd",
-            dict(base, variant="general"),
-        )
-        # Monotonicity of the conservative variant's latched flag.
-        flag = self._latched_flag(prog, dict(base, variant="general"))
-        hook = ValidatingHook(self.nproc, flag=flag, marker=None)
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "flatten/general/hooked",
-            dict(base, variant="general"),
-            statement_hook=hook,
-        )
-        for violation in hook.violations:
+        except _Settled as settled:
+            verdict.legs.append(LegOutcome(label, settled.status, settled.detail))
+            return
+        except BackendFault as error:
             verdict.divergences.append(
-                Divergence("invariant", "flatten/general/hooked", violation)
-            )
-        for variant in ("optimized", "done"):
-            label = f"flatten/{variant}/simd"
-            kwargs = dict(base, variant=variant)
-            accepted_plain = True
-            try:
-                self.engine.compile(prog.source, **kwargs)
-            except TransformError:
-                accepted_plain = False
-            if accepted_plain:
-                self._run_and_compare(prog, ref_env, verdict, label, kwargs)
-            elif prog.min_trips_ok:
-                self._run_and_compare(
-                    prog,
-                    ref_env,
-                    verdict,
+                Divergence(
+                    "backend-disagreement",
                     label,
-                    dict(kwargs, assume_min_trips=True),
-                    assumed=True,
+                    note + str(error),
+                    crash_dump=crash_dump_for(error),
                 )
-            else:
-                verdict.legs.append(
-                    LegOutcome(
-                        label,
-                        "skipped",
-                        "assume_min_trips would be a false assertion "
-                        "(data has a zero-trip inner loop)",
-                    )
+            )
+            verdict.legs.append(LegOutcome(label, "ok", "diverged"))
+            return
+        except Exception as error:
+            detail = f"{type(error).__name__}: {error}"
+            if not isinstance(error, MiniFError):
+                detail = f"unwrapped exception escaped the backend: {detail}"
+            if isinstance(error, (DivergenceFault, OutOfBoundsFault)):
+                verdict.runtime_faults.append((label, type(error).__name__))
+            self._fault(verdict, label, note + detail, error)
+            return
+        if hook is not None:
+            self._post_check(leg, ctx, hook)
+        verdict.legs.append(LegOutcome(label, "ok"))
+
+    @staticmethod
+    def _fault(verdict: ProgramVerdict, label: str, detail: str, error) -> None:
+        verdict.divergences.append(
+            Divergence("fault", label, detail, crash_dump=_dump(error))
+        )
+        verdict.legs.append(LegOutcome(label, "ok", "faulted"))
+
+    def _diverged(self, leg: Leg, ctx: _Context, result, note: str) -> bool:
+        """Compare every processor's env with the reference; record a miss."""
+        envs = result.env if isinstance(result.env, list) else [result.env]
+        for proc, env in enumerate(envs):
+            mismatch = self._compare(
+                ctx.prog, ctx.ref_env, env, leg.gate == "partitioned"
+            )
+            kind = "env-divergence"
+            if mismatch is None:
+                mismatch = check_work_conservation(env, ctx.prog.total_work)
+                kind = "invariant"
+            if mismatch is not None:
+                prefix = f"proc {proc + 1}: " if len(envs) > 1 else ""
+                ctx.verdict.divergences.append(
+                    Divergence(kind, leg.label, note + prefix + mismatch)
                 )
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "flatten/auto/simd",
-            dict(base, variant="auto", assume_min_trips=prog.min_trips_ok),
-            assumed=prog.min_trips_ok,
-        )
+                ctx.verdict.legs.append(LegOutcome(leg.label, "ok", "diverged"))
+                return True
+        return False
 
-    def _coalesce_leg(self, prog, ref_env, verdict) -> None:
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "coalesce/f77",
-            {"transform": "coalesce"},
-            mode="scalar",
-        )
-
-    def _dep_legs(self, prog, ref_env, verdict) -> None:
-        """Dependence-framework legs: fission and interchange.
-
-        Both transforms consult :func:`repro.analysis.dep.
-        build_dependence_graph` for legality, so every accepted program
-        is a soundness claim about the distance/direction vectors: a
-        dependence the tests wrongly refute reorders statement
-        instances and shows up here as an env divergence against the
-        sequential reference.  Rejections (``TransformError``) are the
-        expected outcome on serializing shapes and are recorded as
-        ``rejected`` legs, not failures.
-        """
-        for transform in ("fission", "interchange"):
-            self._run_and_compare(
-                prog,
-                ref_env,
-                verdict,
-                f"none/{transform}/f77",
-                {"transform": transform},
-                mode="scalar",
-            )
-            self._run_and_compare(
-                prog,
-                ref_env,
-                verdict,
-                f"none/{transform}",
-                {"transform": transform},
-            )
-
-    def _partitioned_legs(self, prog, ref_env, verdict) -> None:
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "simdize/block",
-            {"transform": "simdize", "width": self.nproc, "layout": "block"},
-            partitioned=True,
-        )
-        for variant, layout in (("general", "block"), ("auto", "cyclic")):
-            label = f"spmd/{variant}/{layout}"
-            assumed = variant != "general" and prog.min_trips_ok
-            self._run_and_compare(
-                prog,
-                ref_env,
-                verdict,
-                label,
-                {
-                    "transform": "spmd",
-                    "variant": variant,
-                    "layout": layout,
-                    "width": self.nproc,
-                    "assume_min_trips": assumed,
-                },
-                partitioned=True,
-                assumed=assumed,
-            )
-        # Eq. 1: per-lane useful iterations must match the layout's
-        # assignment of outer iterations (hooked interpreter run).
-        spmd_kwargs = {
-            "transform": "spmd",
-            "variant": "general",
-            "layout": "block",
-            "width": self.nproc,
-        }
-        flag = self._latched_flag(prog, spmd_kwargs)
-        hook = ValidatingHook(self.nproc, flag=flag, marker="w")
-        env = self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "spmd/general/block/hooked",
-            spmd_kwargs,
-            partitioned=True,
-            statement_hook=hook,
-        )
-        if env is not None:
-            expected = predicted_lane_work(
-                prog.trip_counts, self.nproc, "block"
-            )
+    def _post_check(self, leg: Leg, ctx: _Context, hook: ValidatingHook) -> None:
+        """Translation invariants the hooked run observed."""
+        violations = list(hook.violations)
+        if leg.post == "eq1":
+            expected = predicted_lane_work(ctx.prog.trip_counts, self.nproc, "block")
             actual = hook.lane_work.tolist()
             if actual != expected:
-                verdict.divergences.append(
-                    Divergence(
-                        "invariant",
-                        "spmd/general/block/hooked",
-                        f"Eq. 1 violated: per-lane useful iterations "
-                        f"{actual} != layout-assigned work {expected}",
-                    )
+                violations.insert(
+                    0,
+                    f"Eq. 1 violated: per-lane useful iterations "
+                    f"{actual} != layout-assigned work {expected}",
                 )
-            for violation in hook.violations:
-                verdict.divergences.append(
-                    Divergence(
-                        "invariant", "spmd/general/block/hooked", violation
-                    )
+        for violation in violations:
+            ctx.verdict.divergences.append(
+                Divergence("invariant", leg.label, violation)
+            )
+
+    # -- run protocols -------------------------------------------------------
+    #
+    # ``_run_<name>(program, ctx, leg, twin, hook)`` runs the compiled
+    # program the way :attr:`Leg.run` names and returns ``(result,
+    # note)``; ``note`` prefixes any divergence detail of the leg.
+
+    def _nproc(self, backend: str) -> int:
+        return 0 if backend == "scalar" else self.nproc
+
+    def _plain(self, program, ctx: _Context, backend: str):
+        """One uninterrupted run on ``backend`` (``vm-unfused``: no fusion)."""
+        key = (program, backend)
+        if key not in ctx.runs:
+            if backend == "mimd":
+                ctx.runs[key] = program.run(
+                    backend="mimd",
+                    bindings_for=lambda p: _copy_bindings(ctx.prog.bindings),
+                    config=BackendConfig(nproc=self.nproc),
                 )
+            else:
+                ctx.runs[key] = program.run(
+                    _copy_bindings(ctx.prog.bindings),
+                    backend=backend.removesuffix("-unfused"),
+                    config=BackendConfig(
+                        nproc=self._nproc(backend),
+                        vm_fuse=backend != "vm-unfused",
+                    ),
+                )
+        return ctx.runs[key]
+
+    def _run_lockstep(self, program, ctx, leg, twin, hook):
+        result = program.run(
+            _copy_bindings(ctx.prog.bindings),
+            verify=True,
+            config=BackendConfig(nproc=self.nproc),
+        )
+        return result, ""
+
+    def _run_scalar(self, program, ctx, leg, twin, hook):
+        return self._plain(program, ctx, "scalar"), ""
+
+    def _run_mimd(self, program, ctx, leg, twin, hook):
+        return self._plain(program, ctx, "mimd"), ""
+
+    def _run_hooked(self, program, ctx, leg, twin, hook):
+        result = program.run(
+            _copy_bindings(ctx.prog.bindings),
+            backend="interpreter",
+            statement_hook=hook,
+            config=BackendConfig(nproc=self.nproc),
+        )
+        return result, ""
+
+    def _run_fused(self, program, ctx, leg, twin, hook):
+        """Fused VM dispatch; it must fault exactly when the unfused VM does."""
+        code = program.bytecode()
+        if code is None:
+            raise _Settled("skipped", "no bytecode")
+        for finding in verify_code(fuse_code(code)).errors:
+            ctx.verdict.divergences.append(
+                Divergence(
+                    "verifier",
+                    leg.label,
+                    f"fused code: [{finding.code}] {finding.message}",
+                )
+            )
+        try:
+            result = self._plain(program, ctx, "vm")
+        except MiniFError as error:
+            if type(error) is type(twin):
+                raise _Settled("ok", "both modes faulted alike")
+            unfused = (
+                f"raised {type(twin).__name__}"
+                if isinstance(twin, Exception)
+                else "ran clean"
+            )
+            raise BackendFault(
+                f"fused VM raised {type(error).__name__}, unfused VM {unfused}",
+                retryable=False,
+            )
+        if isinstance(twin, Exception):
+            raise BackendFault(
+                f"fused VM ran clean, unfused VM raised {type(twin).__name__}",
+                retryable=False,
+            )
+        return result, ""
+
+    def _run_resume(self, program, ctx, leg, twin, hook):
+        """Durable execution: interrupt + resume must equal the twin.
+
+        Re-runs the twin's backend under a step budget that kills it at
+        a seeded interior step while capturing checkpoints every few
+        steps, then resumes from the last one captured.  When the
+        interrupt lands before the first boundary, the documented
+        recovery — a clean rerun — must agree as well.
+        """
+        backend, bindings = leg.twin, ctx.prog.bindings
+        total = int(twin.counters.total_steps)
+        every = ctx.rng.randrange(3, 24)
+        cut = ctx.rng.randrange(1, total) if total > 1 else 1
+        checkpoints: list = []
+        try:
+            program.run(
+                _copy_bindings(bindings),
+                backend=backend,
+                checkpoint_sink=checkpoints.append,
+                config=BackendConfig(
+                    nproc=self._nproc(backend),
+                    budget=Budget(max_steps=cut),
+                    checkpoint_every=every,
+                ),
+            )
+        except BudgetExceeded:
+            pass  # the injected interrupt
+        step = checkpoints[-1].step if checkpoints else 0
+        note = f"resumed at step {step} (interrupt at {cut}, every {every}): "
+        if checkpoints:
+            result = program.run(
+                _copy_bindings(bindings),
+                backend="auto",
+                resume_from=checkpoints[-1],
+                config=BackendConfig(nproc=self._nproc(backend)),
+            )
+        else:
+            result = program.run(
+                _copy_bindings(bindings),
+                backend=backend,
+                config=BackendConfig(nproc=self._nproc(backend)),
+            )
+        return result, note
+
+    def _pmimd(self, program, ctx, plan=None, policy=None, every=None):
+        config = BackendConfig(
+            nproc=self.nproc,
+            fault_plan=plan,
+            workers=2,
+            supervision=self.FUZZ_SUPERVISION,
+            checkpoint_every=every,
+        )
+        result = program.run(
+            backend="pmimd",
+            bindings_for=lambda p: _copy_bindings(ctx.prog.bindings),
+            config=config,
+            policy=policy,
+        )
+        return result, ""
+
+    def _run_pmimd(self, program, ctx, leg, twin, hook):
+        return self._pmimd(program, ctx)
+
+    def _run_pmimd_chaos(self, program, ctx, leg, twin, hook):
+        plan = FaultPlan(
+            seed=(ctx.prog.seed << 20) ^ ctx.prog.index,
+            worker_fault_rate=self.CHAOS_RATE,
+            slow_seconds=0.01,
+            hang_seconds=2.0,
+            backends=("pmimd",),
+        )
+        policy = FallbackPolicy(chain=("pmimd", "mimd"), retries=1)
+        return self._pmimd(program, ctx, plan, policy)
+
+    def _run_pmimd_ckpt(self, program, ctx, leg, twin, hook):
+        # Shard 0's first attempt is killed a few statements in, between
+        # checkpoint boundaries; the supervisor's replay must resume from
+        # the per-processor store and still be observationally invisible.
+        plan = FaultPlan(
+            seed=(ctx.prog.seed << 20) ^ ctx.prog.index ^ 0x5EED,
+            worker_kill=(0,),
+            kill_after_steps=3 + ctx.prog.index % 13,
+            backends=("pmimd",),
+        )
+        return self._pmimd(program, ctx, plan, every=5)

@@ -1,8 +1,9 @@
 """One ``LintContext`` serves every rule of a routine.
 
-Sharing the statement list and the per-nest flattening report must not
-change what the rules find, and must actually share: the flattening
-evaluation runs at most once per loop statement.  A lint that crashes
+Sharing the statement list, the per-nest flattening report and the
+per-loop dependence graph must not change what the rules find, and
+must actually share: the flattening evaluation and the graph build run
+at most once per loop statement.  A lint that crashes
 on a valid program reports ``P003`` on every path.
 """
 
@@ -10,6 +11,7 @@ import glob
 
 import pytest
 
+import repro.analysis.dep.report as dep_report
 import repro.diag.rules as rules
 from repro import Engine
 from repro.analysis.abstract import analyze_routine
@@ -84,6 +86,40 @@ def test_flattening_is_evaluated_once_per_loop(monkeypatch, corpus):
             assert max(calls.values(), default=0) <= 1
             evaluated += len(calls)
     assert evaluated > 0
+
+
+def test_dependence_graph_is_built_once_per_loop(monkeypatch, corpus):
+    build = rules.build_dependence_graph
+
+    def fresh_graph(ctx, stmt):
+        try:
+            return build(stmt)
+        except Exception:
+            return None
+
+    texts = [text for _, text in KERNEL_SOURCES] + corpus[:50]
+    routines = [r for text in texts for r in parse_source(text).units]
+    with monkeypatch.context() as patch:
+        patch.setattr(LintContext, "graph", fresh_graph, raising=False)
+        expected = [lint_routine(r).diagnostics for r in routines]
+
+    calls: dict[int, int] = {}
+
+    def counting(stmt, *args, **kwargs):
+        calls[id(stmt)] = calls.get(id(stmt), 0) + 1
+        return build(stmt, *args, **kwargs)
+
+    # R003/W104 build through the lint; W101/W103 through the
+    # flattening report's parallelism analysis.
+    monkeypatch.setattr(rules, "build_dependence_graph", counting)
+    monkeypatch.setattr(dep_report, "build_dependence_graph", counting)
+    built = 0
+    for routine, findings in zip(routines, expected):
+        calls.clear()
+        assert lint_routine(routine).diagnostics == findings
+        assert max(calls.values(), default=0) <= 1
+        built += len(calls)
+    assert built > 0
 
 
 def test_statements_are_listed_once():

@@ -3,8 +3,13 @@ compiled leg and the lint ↔ runtime checker-gap correlation."""
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.fuzz.generator import ProgramGenerator
 from repro.fuzz.oracle import DifferentialOracle, ProgramVerdict
+from repro.lang import parse_source
+from repro.transform.pipeline import structurize_program
+from repro.vm import CodeObject, Instr, Op, compile_program
 
 RACE = """PROGRAM race
   INTEGER a(10), t
@@ -75,6 +80,34 @@ class TestVerifierLeg:
             ], verdict.divergences
         # The leg actually ran: distinct code objects were verified.
         assert oracle._verified
+
+    def test_a_recycled_id_is_verified_again(self):
+        # A code object freed after its compile left the engine cache
+        # can hand its id to a different one; that one must not inherit
+        # the first one's clean verdict.
+        good = compile_program(structurize_program(parse_source(CLEAN)))
+        broken = (Instr(Op.JUMP, 9999),) + good.instructions[1:]
+        oracle = DifferentialOracle(nproc=4)
+        verdict = ProgramVerdict(program=None)
+
+        def verify(instructions):
+            code = CodeObject(good.name, instructions, {})
+            oracle._verify_bytecode(
+                SimpleNamespace(bytecode=lambda: code), "leg", verdict
+            )
+            return id(code)
+
+        for _ in range(100):
+            stale = verify(good.instructions)
+            code = CodeObject(good.name, broken, {})
+            if id(code) == stale:
+                break
+        else:
+            pytest.skip("the allocator never reused a freed code object's id")
+        oracle._verify_bytecode(
+            SimpleNamespace(bytecode=lambda: code), "leg", verdict
+        )
+        assert [d.kind for d in verdict.divergences] == ["verifier"]
 
     def test_generated_programs_stay_gap_free(self):
         oracle = DifferentialOracle(nproc=4)

@@ -7,10 +7,12 @@ variants whose preconditions the data genuinely violates instead of
 asserting ``assume_min_trips`` falsely.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.fuzz.generator import ProgramGenerator
-from repro.fuzz.oracle import DifferentialOracle
+from repro.fuzz.oracle import LEGS, DifferentialOracle
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +69,24 @@ class TestOracleGuards:
     def test_rejects_single_lane(self):
         with pytest.raises(ValueError):
             DifferentialOracle(nproc=1)
+
+
+class TestLegTable:
+    def test_every_leg_is_in_the_design_table(self):
+        design = (Path(__file__).parents[2] / "DESIGN.md").read_text()
+        section = design[design.index("## 8. ") : design.index("## 9. ")]
+        for leg in LEGS:
+            assert f"| `{leg.label}` |" in section, leg.label
+
+    def test_every_row_names_known_parts(self):
+        # The pmimd-chaos rows only run in the chaos tier: check here
+        # that every row's run protocol, gate and twin resolve.
+        oracle = DifferentialOracle(nproc=4)
+        assert len({leg.label for leg in LEGS}) == len(LEGS)
+        for leg in LEGS:
+            assert callable(getattr(oracle, "_run_" + leg.run.replace("-", "_")))
+            assert leg.gate in (
+                "always", "pmimd", "pmimd_chaos", "partitioned", "min_trips"
+            )
+            assert leg.twin in (None, "mimd", "vm", "scalar", "vm-unfused")
+            assert (leg.post is not None) == (leg.run == "hooked")

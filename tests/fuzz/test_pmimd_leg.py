@@ -9,7 +9,10 @@ the CI chaos-smoke job.
 import pytest
 
 from repro.fuzz import run_fuzz
+from repro.fuzz.generator import ProgramGenerator
 from repro.fuzz.oracle import DifferentialOracle
+from repro.lang.errors import InterpreterError
+from repro.runtime.engine import CompiledProgram
 
 
 @pytest.mark.fuzz_smoke
@@ -51,6 +54,34 @@ def test_oracle_rejects_tiny_pools():
         DifferentialOracle(nproc=1)
 
 
-def test_chaos_rate_is_configurable():
-    oracle = DifferentialOracle(nproc=4, pmimd_chaos=True, chaos_rate=0.25)
-    assert oracle.chaos_rate == 0.25
+def check_with_failing_backend(monkeypatch, backend, error):
+    """One pmimd-enabled check in which every ``backend`` run raises."""
+    real = CompiledProgram.run
+
+    def run(self, *args, **kwargs):
+        if kwargs.get("backend") == backend:
+            raise error
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledProgram, "run", run)
+    oracle = DifferentialOracle(nproc=4, pmimd=True)
+    return oracle.check(ProgramGenerator(seed=20260808).generate(0))
+
+
+def test_unwrapped_pmimd_crash_is_a_leg_fault(monkeypatch):
+    verdict = check_with_failing_backend(
+        monkeypatch, "pmimd", RuntimeError("pool exploded")
+    )
+    [fault] = [d for d in verdict.divergences if d.config == "none/pmimd"]
+    assert fault.kind == "fault"
+    assert fault.detail.startswith("unwrapped exception escaped the backend")
+
+
+def test_failed_mimd_twin_skips_the_pmimd_leg(monkeypatch):
+    verdict = check_with_failing_backend(
+        monkeypatch, "mimd", InterpreterError("simulator down")
+    )
+    assert [d.config for d in verdict.divergences] == ["none/mimd"]
+    [leg] = [leg for leg in verdict.legs if leg.label == "none/pmimd"]
+    assert leg.status == "skipped"
+    assert "simulator down" in leg.detail
